@@ -26,10 +26,13 @@
    - [Raw]: a single page-aligned out-of-heap {!Atomics.Words} block
      ([Native]+[Unboxed], the Native default). No box per cell, no GC
      traffic, stable addresses; C stubs compile each access to one
-     [__atomic] SEQ_CST instruction. The padding discipline carries
-     over physically: every root and every node's [mm_ref]/[mm_next]
-     sit on their own cache-line pair, with the node's link and data
-     words packed contiguously after the header.
+     [__atomic] SEQ_CST instruction. Every root sits on its own
+     cache-line pair (roots are the cross-domain rendezvous words). A
+     node keeps the paper's Fig. 3 word order — [mm_ref], [mm_next],
+     links, data — in a block rounded up to whole 64-byte lines, so
+     each node starts on a line boundary and a visit to it (the D4
+     link read, the D5/R1 [mm_ref] FAA, the R3 link collect) touches
+     one line (two for nodes of more than 8 words).
 
    The two representations have different *physical* geometries, so
    all addressing goes through the geometry fields below; [Value.addr]
@@ -53,8 +56,6 @@ type t = {
   root_stride : int; (* words per root slot *)
   nodes_base : int; (* physical address of node 1 *)
   node_stride : int; (* words per node block *)
-  next_off : int; (* mm_next's offset inside a node block *)
-  body_off : int; (* link 0's offset inside a node block *)
   size : int; (* total physical words *)
   base : int; (* global address of cell 0, see [next_base] *)
 }
@@ -69,8 +70,9 @@ type t = {
    affect behaviour. *)
 let next_base = Atomic.make 0
 
-let line = Backend.cache_line_words
-let round_up_line n = (n + line - 1) / line * line
+(* Words per 64-byte cache line: the unboxed node block's alignment
+   unit. *)
+let node_line = 8
 
 let create ?(backend = Backend.Sim) ?rep ~layout ~capacity ~num_roots () =
   if capacity < 1 then invalid_arg "Arena.create: capacity";
@@ -81,16 +83,17 @@ let create ?(backend = Backend.Sim) ?rep ~layout ~capacity ~num_roots () =
   if backend = Backend.Sim && rep = Backend.Unboxed then
     invalid_arg "Arena.create: Sim is boxed-only";
   let node_size = Layout.node_size layout in
-  let root_stride, nodes_base, node_stride, next_off, body_off =
+  let root_stride, nodes_base, node_stride =
     match rep with
-    | Backend.Boxed ->
-        (1, num_roots, node_size, Layout.mm_next_offset, Layout.header_size)
+    | Backend.Boxed -> (1, num_roots, node_size)
     | Backend.Unboxed ->
-        (* Padded physical layout: each root and each node's two header
-           words get a cache-line pair; the body is packed after. *)
-        let body = node_size - Layout.header_size in
-        (line, num_roots * line, round_up_line ((2 * line) + body), line,
-         2 * line)
+        (* Roots get a cache-line pair each, so node 1 starts on a line
+           boundary of the page-aligned block; node blocks are whole
+           64-byte lines in the logical word order. *)
+        let line = Backend.cache_line_words in
+        ( line,
+          num_roots * line,
+          (node_size + node_line - 1) / node_line * node_line )
   in
   let size = nodes_base + (capacity * node_stride) in
   let store =
@@ -130,8 +133,6 @@ let create ?(backend = Backend.Sim) ?rep ~layout ~capacity ~num_roots () =
     root_stride;
     nodes_base;
     node_stride;
-    next_off;
-    body_off;
     size;
     base;
   }
@@ -160,16 +161,16 @@ let node_base t h =
   check_handle t h;
   t.nodes_base + ((h - 1) * t.node_stride)
 
+(* Inside a node block the physical offset of a field is its logical
+   offset in both representations ([mm_ref] is word 0). *)
 let mm_ref_addr t p = node_base t (Value.handle p)
-let mm_next_addr t p = node_base t (Value.handle p) + t.next_off
+let mm_next_addr t p = node_base t (Value.handle p) + Layout.mm_next_offset
 
 let link_addr t p i =
-  let logical = Layout.link_offset t.layout i in
-  node_base t (Value.handle p) + t.body_off + (logical - Layout.header_size)
+  node_base t (Value.handle p) + Layout.link_offset t.layout i
 
 let data_addr t p j =
-  let logical = Layout.data_offset t.layout j in
-  node_base t (Value.handle p) + t.body_off + (logical - Layout.header_size)
+  node_base t (Value.handle p) + Layout.data_offset t.layout j
 
 (* [owner_of addr] inverts the mapping: which node (if any) contains
    this cell, and at which *logical* offset (0 = [mm_ref], 1 =
@@ -183,14 +184,9 @@ let owner_of t addr =
     else invalid_arg "Arena.owner_of: padding word"
   else begin
     let off = addr - t.nodes_base in
-    let h = 1 + (off / t.node_stride) in
     let w = off mod t.node_stride in
-    if w = 0 then `Node (h, Layout.mm_ref_offset)
-    else if w = t.next_off then `Node (h, Layout.mm_next_offset)
-    else if
-      w >= t.body_off
-      && w < t.body_off + Layout.node_size t.layout - Layout.header_size
-    then `Node (h, Layout.header_size + (w - t.body_off))
+    if w < Layout.node_size t.layout then
+      `Node (1 + (off / t.node_stride), w)
     else invalid_arg "Arena.owner_of: padding word"
   end
 
@@ -286,13 +282,14 @@ let read_clear_link t p i =
    read-and-clear every link word, depositing the non-null values in
    slot order into [out] (length >= num_links). Returns the deposit
    count, or -1 when not claimed. One stub crossing under [Raw] — the
-   node's links are physically contiguous from [body_off]. *)
+   node's links are physically contiguous from link 0. *)
 let release_collect t p ~out =
   let nl = Layout.num_links t.layout in
   match t.store with
   | Raw w ->
       let nb = node_base t (Value.handle p) in
-      Words.release_collect w ~ref_addr:nb ~links:(nb + t.body_off) ~nl ~out
+      Words.release_collect w ~ref_addr:nb ~links:(nb + Layout.header_size)
+        ~nl ~out
   | Cells _ ->
       if release_mm_ref t p then begin
         let count = ref 0 in

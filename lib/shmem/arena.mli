@@ -29,8 +29,11 @@ val create :
     [Boxed] is the dense [int Atomic.t] array (under [Native], roots
     and each node's [mm_ref]/[mm_next] padded to a cache-line pair and
     node blocks allocated in one batch); [Unboxed] ([Native] only) is
-    a single page-aligned out-of-heap {!Atomics.Words} block with the
-    same padding discipline laid out physically. The two reps have
+    a single page-aligned out-of-heap {!Atomics.Words} block in which
+    each root has a 16-word (128-byte) slot and each node a block of
+    [node_size] rounded up to a multiple of 8 words, starting on a
+    64-byte boundary, with the fields in logical order ([mm_ref] at
+    +0, [mm_next] at +1, links and data from +2). The two reps have
     different physical geometries — always address through the
     functions below. *)
 

@@ -131,7 +131,8 @@ let arena_tests =
 (* Representation-parametrized addressing: the same logical geometry
    must hold on the dense boxed store and the padded unboxed store —
    owner_of is the uniform inverse, and physical padding words (which
-   only the unboxed rep has between fields) have no owner. *)
+   only the unboxed rep has, between roots and after a node's last
+   field) have no owner. *)
 module B = Atomics.Backend
 
 let mk_native_arena rep =
@@ -202,10 +203,57 @@ let rep_arena_tests =
           let a = mk_native_arena B.Unboxed in
           (* between root 0 and root 1: roots are line-strided *)
           fails_with ~substring:"padding" (fun () ->
-              Arena.owner_of a (Arena.root_addr a 0 + 1));
-          (* between mm_ref and mm_next inside a node block *)
-          fails_with ~substring:"padding" (fun () ->
-              Arena.owner_of a (Arena.mm_ref_addr a (Value.of_handle 1) + 1)));
+              Arena.owner_of a (Arena.root_addr a 0 + 1)));
+      tc "unboxed nodes are whole 64-byte lines" (fun () ->
+          let unboxed ~num_links ~num_data =
+            let layout = Layout.create ~num_links ~num_data in
+            Arena.create ~backend:B.Native ~rep:B.Unboxed ~layout ~capacity:4
+              ~num_roots:3 ()
+          in
+          let stride a = Arena.node_base a 2 - Arena.node_base a 1 in
+          (* <= 8 words: each node is exactly one line, every field in it
+             (8 words per 64-byte line of the page-aligned block) *)
+          let a = unboxed ~num_links:3 ~num_data:3 in
+          check_int "8-word stride" 8 (stride a);
+          for h = 1 to Arena.capacity a do
+            let p = Value.of_handle h in
+            let line = Arena.node_base a h / 8 in
+            check_int "node starts a line" 0 (Arena.node_base a h mod 8);
+            let same what addr = check_int (what ^ " line") line (addr / 8) in
+            same "mm_ref" (Arena.mm_ref_addr a p);
+            same "mm_next" (Arena.mm_next_addr a p);
+            for i = 0 to 2 do
+              same "link" (Arena.link_addr a p i);
+              same "data" (Arena.data_addr a p i)
+            done
+          done;
+          (* 9 words: two lines per node, still line-aligned *)
+          let a = unboxed ~num_links:3 ~num_data:4 in
+          check_int "9-word stride" 16 (stride a);
+          check_int "aligned" 0 (Arena.node_base a 3 mod 8);
+          (* owner_of is the exact inverse over every physical word *)
+          let a = mk_native_arena B.Unboxed in
+          let expect = Hashtbl.create 64 in
+          for r = 0 to Arena.num_roots a - 1 do
+            Hashtbl.add expect (Arena.root_addr a r) (`Root r)
+          done;
+          let node_size = Layout.node_size (Arena.layout a) in
+          for h = 1 to Arena.capacity a do
+            for off = 0 to node_size - 1 do
+              Hashtbl.add expect (Arena.node_base a h + off) (`Node (h, off))
+            done
+          done;
+          let cap = Arena.capacity a in
+          let size = Arena.node_base a cap + stride a in
+          for addr = 0 to size - 1 do
+            match Hashtbl.find_opt expect addr with
+            | Some owner ->
+                if Arena.owner_of a addr <> owner then
+                  Alcotest.failf "word %d has the wrong owner" addr
+            | None ->
+                fails_with ~substring:"padding" (fun () -> Arena.owner_of a addr)
+          done;
+          fails_with (fun () -> Arena.owner_of a size));
       tc "boxed native store is dense (no padding words)" (fun () ->
           let a = mk_native_arena B.Boxed in
           (* every address below num_cells has an owner *)
