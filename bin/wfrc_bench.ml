@@ -105,7 +105,7 @@ let check_faa_reduction () =
 (* The CI scaling gate: compare the best Native ops/s at the lowest
    and highest measured domain counts; an inversion (fewer ops/s with
    more domains) fails the run. Any Native point counts — legacy or
-   sharded, boxed or unboxed — so the gate asks "does the best
+   sharded — so the gate asks "does the best
    configuration at 4 domains beat the best at 1?", which is the
    question the scaling work answers on multi-core hardware. *)
 let check_scaling (points : Harness.Bench.point list) =

@@ -83,10 +83,9 @@ type t = {
    the timer wheel. Three data words and [levels] links satisfy every
    structure involved (queue: 1 link + 1 data; oset: 1 link + 2 data;
    skiplist: [levels] links + 3 data). *)
-let mm_config ?(backend = Atomics.Backend.Native) ?rep ?(shards = 1)
-    ?(batch = 1) ?defer ?(levels = 4) ~threads ~capacity ~max_actors ~buckets
-    () =
-  Mm.config ~backend ?rep ~shards ~batch ?defer ~threads ~capacity
+let mm_config ?(backend = Atomics.Backend.Native) ?(shards = 1) ?(batch = 1)
+    ?defer ?(levels = 4) ~threads ~capacity ~max_actors ~buckets () =
+  Mm.config ~backend ~shards ~batch ?defer ~threads ~capacity
     ~num_links:(max 1 levels) ~num_data:3
     ~num_roots:((2 * max_actors) + buckets + 1) ()
 

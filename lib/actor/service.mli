@@ -34,7 +34,6 @@ type totals = {
 
 val mm_config :
   ?backend:Atomics.Backend.t ->
-  ?rep:Atomics.Backend.rep ->
   ?shards:int ->
   ?batch:int ->
   ?defer:int ->

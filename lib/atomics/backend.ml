@@ -1,28 +1,28 @@
 (* Pluggable shared-memory backends.
 
-   Every word of simulated shared memory is an [int Atomic.t] cell; the
-   backend decides what one word operation *costs*:
+   The backend decides both what one word operation *costs* and where
+   the shared words live:
 
-   - [Sim] routes every primitive through {!Primitives}, i.e. across
-     one {!Schedpoint} scheduling point. This is the representation the
-     deterministic scheduler ([Sched.Engine]), the schedule explorer
-     and the lincheck sweeps require: one scheduling decision per
-     atomic primitive, the granularity at which the paper's
-     interleavings are defined.
+   - [Sim] keeps every word in an [int Atomic.t] cell and routes every
+     primitive through {!Primitives}, i.e. across one {!Schedpoint}
+     scheduling point. This is what the deterministic scheduler
+     ([Sched.Engine]), the schedule explorer and the lincheck sweeps
+     require: one scheduling decision per atomic primitive, the
+     granularity at which the paper's interleavings are defined.
 
-   - [Native] performs the [Atomic] operation directly, with zero hook
-     dispatch — no hook-ref load, no indirect call — for
-     [Domain]-parallel benchmark runs where the hook would be a pure
-     tax. Native also pads designated hot cells to a cache-line pair
-     ([make_contended]) so FAA-heavy words ([mm_ref], free-list heads,
-     root links) do not false-share.
+   - [Native] keeps the arena, the managers' hot globals and the
+     announcement pool on raw out-of-heap {!Words} blocks, where each
+     access is one C stub crossing and one [__atomic] instruction —
+     no box per cell, no hook dispatch.
 
-   Both backends share the cell representation, so a backend is a
-   runtime value ([t] below) that the arena and the managers store and
-   branch on — a predictable two-way branch on the hot path instead of
-   the Sim-only indirect hook call. The [PRIMS] first-class-module view
-   is provided for code that wants to abstract over a backend wholesale
-   (benchmarks, tests).
+   The cell operations below serve the [Sim] stores and the padded
+   [int Atomic.t] cells some managers keep for their own bookkeeping
+   under either backend (hazard slots, epochs, locks): a predictable
+   two-way branch on the backend value. The [PRIMS]
+   first-class-module view is provided for code that wants to
+   abstract over a backend wholesale (benchmarks, tests). Native pads
+   designated hot cells to a cache-line pair ([make_contended]) so
+   FAA-heavy words do not false-share.
 
    [make_contended]: OCaml 5.2 gained [Atomic.make_contended]; this
    tree builds on 5.1, so we reproduce it with [Obj]: an atomic cell is
@@ -42,25 +42,6 @@ let of_string = function
   | s -> invalid_arg (Printf.sprintf "Backend.of_string: %S" s)
 
 let pp ppf b = Fmt.string ppf (name b)
-
-(* Cell representation, orthogonal to the backend but constrained by
-   it: [Sim] must stay [Boxed] (the instrumented primitives are what
-   give the deterministic scheduler its per-access crossings), while
-   [Native] defaults to [Unboxed] — one out-of-heap word block driven
-   by C stubs ({!Words}) instead of an [int Atomic.t] box per cell.
-   [Native]+[Boxed] is kept as a representation-ablation arm. *)
-type rep = Boxed | Unboxed
-
-let rep_name = function Boxed -> "boxed" | Unboxed -> "unboxed"
-
-let rep_of_string = function
-  | "boxed" -> Boxed
-  | "unboxed" -> Unboxed
-  | s -> invalid_arg (Printf.sprintf "Backend.rep_of_string: %S" s)
-
-let pp_rep ppf r = Fmt.string ppf (rep_name r)
-
-let default_rep = function Sim -> Boxed | Native -> Unboxed
 
 (* 16 words = 128 bytes: a 64-byte line plus its prefetch partner,
    matching what [Atomic.make_contended] pads to on OCaml 5.2+. *)

@@ -8,9 +8,12 @@
     ({!make_contended}) so FAA-heavy words do not false-share under
     real [Domain] parallelism.
 
-    Both backends share the [int Atomic.t] cell representation, so the
-    backend is a runtime value stored by the arena and the managers
-    and dispatched with a two-way branch on the hot path. *)
+    The backend also decides the store behind the arena, the hot
+    vectors and the announcement pool: [Sim] keeps instrumented
+    [int Atomic.t] cells, [Native] uses raw out-of-heap {!Words}
+    blocks. The functions below operate on [int Atomic.t] cells — the
+    [Sim] stores, and the few padded cells the managers keep for
+    their own bookkeeping under either backend. *)
 
 type t = Sim | Native
 
@@ -21,21 +24,6 @@ val of_string : string -> t
 (** Inverse of {!name}; raises [Invalid_argument] otherwise. *)
 
 val pp : Format.formatter -> t -> unit
-
-type rep = Boxed | Unboxed
-(** Cell representation. [Boxed]: one [int Atomic.t] per word (the
-    only representation [Sim] admits — instrumentation needs it).
-    [Unboxed]: an out-of-heap word block driven by {!Words} stubs,
-    [Native]-only; the default there. *)
-
-val rep_name : rep -> string
-(** ["boxed"] / ["unboxed"]. *)
-
-val rep_of_string : string -> rep
-val pp_rep : Format.formatter -> rep -> unit
-
-val default_rep : t -> rep
-(** [Boxed] for [Sim], [Unboxed] for [Native]. *)
 
 val cache_line_words : int
 (** Padding granularity of {!make_contended} cells, in words (16 =

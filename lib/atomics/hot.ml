@@ -1,99 +1,84 @@
-(* A vector of contention-padded hot words, representation-dispatched.
+(* A vector of contention-padded hot words, stored per backend.
 
    The managers keep a handful of global words every thread hammers —
    free-list heads, [currentFreeList], [helpCurrent], the [annAlloc]
-   slots, the lock word. Under [Boxed] these are the familiar padded
-   [int Atomic.t] cells (and under [Sim], plain {!Primitives} cells so
-   every access still crosses one scheduling point, byte-for-byte the
-   historical behaviour). Under [Unboxed] the whole vector is one
-   {!Words} block with each slot on its own cache-line pair — no boxes,
-   no GC traffic, stable addresses.
+   slots, the lock word. Under [Sim] these are plain {!Primitives}
+   cells, so every access still crosses one scheduling point. Under
+   [Native] the whole vector is one {!Words} block with each slot on
+   its own cache-line pair — no boxes, no GC traffic, stable
+   addresses.
 
    Indexing is by slot: slot [i] lives at word [i * cache_line_words]
-   in the unboxed block. *)
+   in the Native block. *)
 
 module P = Primitives
 
-type store = Cells of P.cell array | Raw of Words.t
-type t = { backend : Backend.t; store : store }
+type t = Cells of P.cell array | Raw of Words.t
 
 let stride = Backend.cache_line_words
 
-let create ~backend ~(rep : Backend.rep) n ~init =
+let create ~backend n ~init =
   if n < 1 then invalid_arg "Hot.create";
-  match (backend, rep) with
-  | Backend.Sim, Backend.Unboxed ->
-      invalid_arg "Hot.create: Sim is boxed-only"
-  | Backend.Sim, Backend.Boxed ->
-      { backend; store = Cells (Array.init n (fun i -> P.make (init i))) }
-  | Backend.Native, Backend.Boxed ->
-      {
-        backend;
-        store =
-          Cells
-            (Array.init n (fun i ->
-                 Backend.make_contended Backend.Native (init i)));
-      }
-  | Backend.Native, Backend.Unboxed ->
+  match backend with
+  | Backend.Sim -> Cells (Array.init n (fun i -> P.make (init i)))
+  | Backend.Native ->
       let w = Words.make (n * stride) in
       for i = 0 to n - 1 do
         Words.set w (i * stride) (init i)
       done;
-      { backend; store = Raw w }
+      Raw w
 
 let length t =
-  match t.store with
+  match t with
   | Cells a -> Array.length a
   | Raw w -> Words.length w / stride
 
 let[@inline] read t i =
-  match t.store with
-  | Cells a -> Backend.read t.backend a.(i)
+  match t with
+  | Cells a -> P.read a.(i)
   | Raw w -> Words.get w (i * stride)
 
 let[@inline] write t i v =
-  match t.store with
-  | Cells a -> Backend.write t.backend a.(i) v
+  match t with
+  | Cells a -> P.write a.(i) v
   | Raw w -> Words.set w (i * stride) v
 
 let[@inline] cas t i ~old ~nw =
-  match t.store with
-  | Cells a -> Backend.cas t.backend a.(i) ~old ~nw
+  match t with
+  | Cells a -> P.cas a.(i) ~old ~nw
   | Raw w -> Words.cas w (i * stride) ~old ~nw
 
 let[@inline] faa t i d =
-  match t.store with
-  | Cells a -> Backend.faa t.backend a.(i) d
+  match t with
+  | Cells a -> P.faa a.(i) d
   | Raw w -> Words.faa w (i * stride) d
 
 let[@inline] swap t i v =
-  match t.store with
-  | Cells a -> Backend.swap t.backend a.(i) v
+  match t with
+  | Cells a -> P.swap a.(i) v
   | Raw w -> Words.swap w (i * stride) v
 
 (* Fused fragments: one stub crossing under [Raw]; the [Cells] arms
-   execute the same per-word ops individually — under [Sim], the same
-   scheduling points in the same order as the callers always issued. *)
+   execute the same per-word ops individually — the same scheduling
+   points in the same order as the callers always issued. *)
 
 (* A4's collect: read, and take with an exchange only if non-zero. *)
 let[@inline] take t i =
-  match t.store with
-  | Cells a ->
-      if Backend.read t.backend a.(i) = 0 then 0
-      else Backend.swap t.backend a.(i) 0
+  match t with
+  | Cells a -> if P.read a.(i) = 0 then 0 else P.swap a.(i) 0
   | Raw w -> Words.take w (i * stride)
 
 (* F1-F2 / the helpCurrent advance: read, one CAS attempt to
    [(v + 1) mod n], return the value read. *)
 let[@inline] bump_mod t i n =
-  match t.store with
+  match t with
   | Cells a ->
-      let cur = Backend.read t.backend a.(i) in
-      ignore (Backend.cas t.backend a.(i) ~old:cur ~nw:((cur + 1) mod n));
+      let cur = P.read a.(i) in
+      ignore (P.cas a.(i) ~old:cur ~nw:((cur + 1) mod n));
       cur
   | Raw w -> Words.bump_mod w (i * stride) n
 
 (* Raw access for cross-store fusions (F3's donate spans an arena and
    a hot vector): the backing block and the physical word of a slot. *)
-let raw t = match t.store with Raw w -> Some w | Cells _ -> None
+let raw t = match t with Raw w -> Some w | Cells _ -> None
 let word_of_slot i = i * stride

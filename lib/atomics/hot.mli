@@ -1,19 +1,18 @@
-(** A vector of contention-padded global hot words, dispatched on the
-    backend's cell representation.
+(** A vector of contention-padded global hot words, stored per
+    backend.
 
-    [Boxed] slots are padded [int Atomic.t] cells (plain {!Primitives}
-    cells under [Sim], preserving one scheduling point per access);
-    [Unboxed] slots live in one {!Words} block, one cache-line pair
-    per slot. The managers put their cross-thread globals — free-list
+    [Sim] slots are plain {!Primitives} cells, preserving one
+    scheduling point per access; [Native] slots live in one {!Words}
+    block, one cache-line pair per slot. The managers put their cross-thread globals — free-list
     heads, [currentFreeList], [helpCurrent], [annAlloc] — on one of
     these. Same trust tier as {!Primitives}/{!Words}: client layers go
     through the managers, not this module. *)
 
 type t
 
-val create : backend:Backend.t -> rep:Backend.rep -> int -> init:(int -> int) -> t
-(** [create ~backend ~rep n ~init] builds [n] slots, slot [i] holding
-    [init i]. [Sim] + [Unboxed] is rejected. *)
+val create : backend:Backend.t -> int -> init:(int -> int) -> t
+(** [create ~backend n ~init] builds [n] slots, slot [i] holding
+    [init i]. *)
 
 val length : t -> int
 val read : t -> int -> int
@@ -24,9 +23,9 @@ val swap : t -> int -> int -> int
 
 (** {1 Fused fragments}
 
-    One stub crossing under [Unboxed]; identical per-word op sequence
-    issued individually under [Boxed] (and one scheduling point per op
-    under [Sim], as ever). *)
+    One stub crossing under [Native]; under [Sim], the identical
+    per-word op sequence issued individually (one scheduling point per
+    op, as ever). *)
 
 val take : t -> int -> int
 (** [take t i]: read slot [i]; if non-zero, exchange it with 0 and
@@ -37,7 +36,7 @@ val bump_mod : t -> int -> int -> int
     [(v + 1) mod n], return the value read. *)
 
 val raw : t -> Words.t option
-(** The backing {!Words} block ([Unboxed] only) — for fusions spanning
+(** The backing {!Words} block ([Native] only) — for fusions spanning
     two stores (see {!Words.donate}). *)
 
 val word_of_slot : int -> int

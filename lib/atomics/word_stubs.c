@@ -109,7 +109,7 @@ CAMLprim value caml_wfrc_words_swap(value vw, value vi, value vx)
  * Each of these performs a short fixed sequence of atomic operations
  * that the OCaml side would otherwise issue as 2-3 separate stub
  * calls. The per-word operations and their order are EXACTLY those of
- * the unfused sequence (the Sim/boxed arms still execute them
+ * the unfused sequence (the Sim arms still execute them
  * individually), so behaviour is identical — only the number of
  * OCaml-to-C crossings changes, which is what dominates the native
  * hot path. */

@@ -33,7 +33,7 @@ val swap : t -> int -> int -> int
 
     Each call performs a short fixed sequence of atomic operations in
     one stub crossing — per-word behaviour identical to issuing the
-    ops individually, which is what the Sim/boxed representations do.
+    ops individually, which is what the [Sim] stores do.
     These exist because call overhead, not the atomics, dominates the
     native hot path. *)
 
@@ -94,6 +94,6 @@ val ann_scan : t -> geom:int array -> from:int -> int -> int
     scan: for each row [id] in [from..n-1] it loads the row's slot
     index then the announced word at that slot, returning the first
     [id] whose announced word equals [target], or [-1]. One stub call
-    replaces [2*(n-from)] boxed atomic reads. [geom] is
+    replaces [2*(n-from)] separate word reads. [geom] is
     [| idx_base; idx_stride; ra_base; row_stride; slot_stride; n |]
     (word offsets/strides into the store). *)

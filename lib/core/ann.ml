@@ -15,13 +15,13 @@
 
    The cells are algorithm globals, not user memory, so they live
    outside the arena — but they are the same atomic word cells and
-   follow the same representation choice. [Boxed] is the historical
-   array-of-padded-cells pool (and under [Sim] they cross the same
-   scheduling points as arena words). [Unboxed] lays the pool out on
-   one raw {!Atomics.Words} block — index words first, then the
-   announcement matrix, then the busy matrix, every word on its own
-   cache-line pair — which is what lets {!scan_announced} sweep a
-   whole helping pass in one C stub call. *)
+   follow the same backend-chosen store. Under [Sim] the pool is
+   arrays of instrumented cells, crossing the same scheduling points
+   as arena words. Under [Native] it is one raw {!Atomics.Words}
+   block — index words first, then the announcement matrix, then the
+   busy matrix, every word on its own cache-line pair — which is what
+   lets {!scan_announced} sweep a whole helping pass in one C stub
+   call. *)
 
 module P = Atomics.Primitives
 module B = Atomics.Backend
@@ -36,11 +36,11 @@ type store =
     }
   | Raw of { w : W.t; geom : int array }
 
-type t = { backend : B.t; rep : B.rep; n : int; store : store }
+type t = { n : int; store : store }
 
 let line = B.cache_line_words
 
-(* Unboxed word map (all offsets in words, one line pair per cell):
+(* Native word map (all offsets in words, one line pair per cell):
    index[i] at [i*line]; read_addr[i][s] at [ra_base + (i*n + s)*line];
    busy[i][s] at [busy_base + (i*n + s)*line]. [geom] packages the
    index/read_addr part for the scan stub. *)
@@ -51,33 +51,30 @@ let busy_w t i s = ((t.n * line) + (t.n * t.n * line)) + (((i * t.n) + s) * line
 
 (* Every announcement cell is by definition a cross-thread hot word
    (the owner publishes, every helper scans and CASes), so under the
-   [Native] backend all of them are contention-padded; the pool is
-   O(N^2) cells for N threads, which stays tiny next to any arena. *)
-let create ?(backend = B.Sim) ?rep ~threads () =
+   [Native] backend every one of them gets its own cache-line pair;
+   the pool is O(N^2) words for N threads, which stays tiny next to
+   any arena. *)
+let create ?(backend = B.Sim) ~threads () =
   if threads < 1 then invalid_arg "Ann.create";
-  let rep = match rep with Some r -> r | None -> B.default_rep backend in
-  if backend = B.Sim && rep = B.Unboxed then
-    invalid_arg "Ann.create: Sim is boxed-only";
   let n = threads in
   let store =
-    match rep with
-    | B.Boxed ->
-        let mk _ = B.make_contended backend 0 in
+    match backend with
+    | B.Sim ->
+        let mk _ = P.make 0 in
         Cells
           {
             read_addr = Array.init n (fun _ -> Array.init n mk);
             index = Array.init n mk;
             busy = Array.init n (fun _ -> Array.init n mk);
           }
-    | B.Unboxed ->
+    | B.Native ->
         let w = W.make ((n + (2 * n * n)) * line) in
         let geom = [| 0; line; n * line; n * line; line; n |] in
         Raw { w; geom }
   in
-  { backend; rep; n; store }
+  { n; store }
 
 let threads t = t.n
-let rep t = t.rep
 
 (* D1: find a slot with busy = 0. The scan is bounded: at most [n-1]
    helpers can hold a busy claim on this row at any time, and no new
@@ -87,7 +84,7 @@ let rep t = t.rep
 let choose_slot t ~tid =
   let busy_at i =
     match t.store with
-    | Cells c -> B.read t.backend c.busy.(tid).(i)
+    | Cells c -> P.read c.busy.(tid).(i)
     | Raw r -> W.get r.w (busy_w t tid i)
   in
   let rec scan i =
@@ -101,60 +98,58 @@ let choose_slot t ~tid =
 (* D2 *)
 let set_index t ~tid slot =
   match t.store with
-  | Cells c -> B.write t.backend c.index.(tid) slot
+  | Cells c -> P.write c.index.(tid) slot
   | Raw r -> W.set r.w (idx_w tid) slot
 
 (* D3: publish the link. *)
 let announce t ~tid ~slot link =
   match t.store with
-  | Cells c -> B.write t.backend c.read_addr.(tid).(slot) (Value.enc_link link)
+  | Cells c -> P.write c.read_addr.(tid).(slot) (Value.enc_link link)
   | Raw r -> W.set r.w (ra_w t tid slot) (Value.enc_link link)
 
 (* D6: atomically clear the announcement, returning what was there —
    either our own link encoding (not helped) or a helper's answer. *)
 let retract t ~tid ~slot =
   match t.store with
-  | Cells c -> B.swap t.backend c.read_addr.(tid).(slot) 0
+  | Cells c -> P.swap c.read_addr.(tid).(slot) 0
   | Raw r -> W.swap r.w (ra_w t tid slot) 0
 
 (* H2 *)
 let read_index t ~id =
   match t.store with
-  | Cells c -> B.read t.backend c.index.(id)
+  | Cells c -> P.read c.index.(id)
   | Raw r -> W.get r.w (idx_w id)
 
 (* H3 *)
 let read_slot t ~id ~slot =
   match t.store with
-  | Cells c -> B.read t.backend c.read_addr.(id).(slot)
+  | Cells c -> P.read c.read_addr.(id).(slot)
   | Raw r -> W.get r.w (ra_w t id slot)
 
 (* H4 / H8 *)
 let busy_incr t ~id ~slot =
   match t.store with
-  | Cells c -> ignore (B.faa t.backend c.busy.(id).(slot) 1)
+  | Cells c -> ignore (P.faa c.busy.(id).(slot) 1)
   | Raw r -> ignore (W.faa r.w (busy_w t id slot) 1)
 
 let busy_decr t ~id ~slot =
   match t.store with
-  | Cells c -> ignore (B.faa t.backend c.busy.(id).(slot) (-1))
+  | Cells c -> ignore (P.faa c.busy.(id).(slot) (-1))
   | Raw r -> ignore (W.faa r.w (busy_w t id slot) (-1))
 
 (* H6: answer the announcement — replace the link encoding with the
    freshly de-referenced node pointer. *)
 let answer_cas t ~id ~slot ~link node =
   match t.store with
-  | Cells c ->
-      B.cas t.backend c.read_addr.(id).(slot) ~old:(Value.enc_link link)
-        ~nw:node
+  | Cells c -> P.cas c.read_addr.(id).(slot) ~old:(Value.enc_link link) ~nw:node
   | Raw r ->
       W.cas r.w (ra_w t id slot) ~old:(Value.enc_link link) ~nw:node
 
 (* Batched H2+H3 sweep for a helping pass: the first row [id >= from]
    whose currently-indexed slot announces exactly [target] (a
-   [Value.enc_link] encoding), or -1. Unboxed rows are scanned by one
-   C stub call over the raw block; boxed rows fall back to the
-   per-word loop with identical reads. The result is a hint — the
+   [Value.enc_link] encoding), or -1. Native rows are scanned by one
+   C stub call over the raw block; Sim rows fall back to the per-word
+   loop with identical reads. The result is a hint — the
    announcement can move between the scan and the caller's own H3
    re-read, which the helping protocol already tolerates. *)
 let scan_announced t ~from target =
@@ -164,10 +159,10 @@ let scan_announced t ~from target =
       let rec go id =
         if id >= t.n then -1
         else
-          let slot = B.read t.backend c.index.(id) in
+          let slot = P.read c.index.(id) in
           if
             slot >= 0 && slot < t.n
-            && B.read t.backend c.read_addr.(id).(slot) = target
+            && P.read c.read_addr.(id).(slot) = target
           then id
           else go (id + 1)
       in
@@ -208,7 +203,7 @@ let clear_row t ~tid =
   for s = t.n - 1 downto 0 do
     let v =
       match t.store with
-      | Cells c -> B.swap t.backend c.read_addr.(tid).(s) 0
+      | Cells c -> P.swap c.read_addr.(tid).(s) 0
       | Raw r -> W.swap r.w (ra_w t tid s) 0
     in
     if v <> 0 then begin

@@ -8,21 +8,14 @@
 
 type t
 
-val create :
-  ?backend:Atomics.Backend.t ->
-  ?rep:Atomics.Backend.rep ->
-  threads:int ->
-  unit ->
-  t
-(** [backend] (default [Sim]): under [Native], every announcement cell
-    is contention-padded — they are cross-thread CAS targets by
-    definition. [rep] (default {!Atomics.Backend.default_rep}) picks
-    the pool's store: padded boxed cells, or one raw
-    {!Atomics.Words} block that {!scan_announced} can sweep with a
-    single stub call. *)
+val create : ?backend:Atomics.Backend.t -> threads:int -> unit -> t
+(** [backend] (default [Sim]) picks the pool's store: instrumented
+    cells under [Sim]; under [Native], one raw {!Atomics.Words} block
+    with every announcement word on its own cache-line pair (they are
+    cross-thread CAS targets by definition), which {!scan_announced}
+    sweeps with a single stub call. *)
 
 val threads : t -> int
-val rep : t -> Atomics.Backend.rep
 
 val choose_slot : t -> tid:int -> int
 (** Line D1: index of a slot with busy count 0. Bounded single scan;
@@ -58,8 +51,8 @@ val scan_announced : t -> from:int -> int -> int
 (** [scan_announced t ~from target]: the first row [id >= from] whose
     currently-indexed slot holds exactly [target] (a
     [Shmem.Value.enc_link] word), or [-1] — the H2+H3 read pass of a
-    helping sweep, batched. One C stub call under the unboxed rep; a
-    per-word loop with the same reads under boxed. The result is a
+    helping sweep, batched. One C stub call under [Native]; a
+    per-word loop with the same reads under [Sim]. The result is a
     hint: callers must re-read the row (H2/H3) before acting, which
     the helping protocol requires anyway. *)
 

@@ -56,7 +56,7 @@ type placement = [ `Paper | `Own_index ]
    each thread touches exactly its own entry. *)
 type tcache = { cslots : int array; mutable clen : int }
 
-(* Cross-store fusion context ([Unboxed] only): the raw arena and
+(* Cross-store fusion context ([Native] only): the raw arena and
    hot-vector blocks plus the geometry arrays the fused stubs need
    ({!Atomics.Words.take_fix} / [free_donate]). *)
 type fused = {
@@ -76,8 +76,8 @@ type t = {
   hot : Hot.t;
   (* one padded slot per scheme global — see the hw_* map below *)
   fused : fused option;
-  (* cross-store fusion context when arena and hot vector are both
-     unboxed — see the [fused] type above *)
+  (* cross-store fusion context under [Native], where arena and hot
+     vector are raw word blocks — see the [fused] type above *)
   oom_scan_limit : int;
   placement : placement;
   help_alloc : bool;
@@ -124,7 +124,7 @@ let create ?(placement = `Paper) ?(help_alloc = true) (cfg : Mm_intf.config) =
     Layout.create ~num_links:cfg.num_links ~num_data:cfg.num_data
   in
   let arena =
-    Arena.create ~backend ~rep:cfg.rep ~layout ~capacity:cfg.capacity
+    Arena.create ~backend ~layout ~capacity:cfg.capacity
       ~num_roots:cfg.num_roots ()
   in
   (* Initial free state: all nodes chained into freeList[0], each with
@@ -140,8 +140,7 @@ let create ?(placement = `Paper) ?(help_alloc = true) (cfg : Mm_intf.config) =
   (* The scheme's globals are all FAA/CAS rendezvous points for every
      thread, so each gets its own cache-line pair on the hot vector. *)
   let hot =
-    Hot.create ~backend ~rep:cfg.rep
-      (2 + (3 * n))
+    Hot.create ~backend (2 + (3 * n))
       ~init:(fun i -> if i = hw_free 0 then Value.of_handle 1 else 0)
   in
   let fused =
@@ -166,7 +165,7 @@ let create ?(placement = `Paper) ?(help_alloc = true) (cfg : Mm_intf.config) =
     cfg;
     backend;
     arena;
-    ann = Ann.create ~backend ~rep:cfg.rep ~threads:n ();
+    ann = Ann.create ~backend ~threads:n ();
     ctr = C.create ~backend ~threads:n ();
     n;
     hot;
@@ -233,9 +232,9 @@ let rec release t ~tid node =
   | _ -> release_work t ~tid (work_push t ~tid 0 (Value.unmark node))
 
 (* Flush one thread's rc buffer through the R1–R4 engine, oldest entry
-   first. The [Unboxed] arm batches every R1–R2 into one stub crossing
+   first. The [Native] arm batches every R1–R2 into one stub crossing
    ({!Atomics.Words.rc_flush}) and finishes R3/FreeNode here; the
-   boxed/Sim arm issues the identical per-word sequence through
+   [Sim] arm issues the identical per-word sequence through
    [release_collect]. Claim outcomes and free-push order agree between
    the arms (all of a flush's decrements land before any claimed
    node's cascade can re-examine a count), so traces and counter
@@ -287,8 +286,8 @@ and release_work t ~tid sp =
     let sp = sp - 1 in
     let node = t.work.(tid).(sp) in
     (* R1-R3: release and, when we claimed the node, collect-and-clear
-       the references its link slots held — one crossing under the
-       unboxed rep. *)
+       the references its link slots held — one crossing under
+       [Native]. *)
     let collected = Arena.release_collect t.arena node ~out:t.scratch.(tid) in
     if collected >= 0 then begin
       let sp = push_collected t ~tid ~k:0 ~collected sp in
@@ -457,7 +456,7 @@ let rec alloc_loop t ~tid ~help_id ~helped ~empty_scans =
         Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
         node
     | _ ->
-        (* Deferred A2 (unboxed native only; see [alloc]): the first
+        (* Deferred A2 ([Native] only; see [alloc]): the first
            pass that can use the helpee reads it here, then the choice
            stays fixed for the call, as the pseudocode prescribes. *)
         let help_id =
@@ -545,8 +544,8 @@ let alloc t ~tid =
       alloc_loop t ~tid ~help_id ~helped:false ~empty_scans:0  (* A1 / A3 *)
   | Some _ ->
       (* The A2 helpee read is deferred into the loop (sentinel -1):
-         an A4 hit never consults it, and under the unboxed rep that
-         read is a stub crossing on the hottest path. The choice is
+         an A4 hit never consults it, and under [Native] that read
+         is a stub crossing on the hottest path. The choice is
          still made at most once per call. *)
       alloc_loop t ~tid ~help_id:(-1) ~helped:false ~empty_scans:0
 
@@ -581,7 +580,7 @@ let rec deref t ~tid link =
    one H2 read and one H3 read per row, each crossing its scheduling
    point, byte-for-byte. Under [Native] the H2+H3 sweep is batched
    through {!Ann.scan_announced} (one stub call per run of
-   non-matching rows under the unboxed rep); a hit is re-read (H2/H3
+   non-matching rows); a hit is re-read (H2/H3
    again) before helping, which the protocol requires anyway — the
    announcement may have moved. [Help_scan] accounting is kept
    row-exact: every call still adds exactly [n] regardless of

@@ -17,7 +17,6 @@ type point = {
   rev : string;         (* git revision the point was measured at *)
   scheme : string;
   backend : B.t;
-  rep : B.rep;          (* cell representation (boxed / unboxed) *)
   threads : int;
   shards : int;         (* free-store stripes (1 = legacy list) *)
   batch : int;          (* allocation-cache batch size *)
@@ -81,7 +80,7 @@ let git_rev () =
   | Some sha when String.length sha >= 7 -> String.sub sha 0 7
   | _ -> "unknown"
 
-let run_point ?spine ?rep ?(shards = 1) ?(batch = 1) ?(oracle = false) ~scheme
+let run_point ?spine ?(shards = 1) ?(batch = 1) ?(oracle = false) ~scheme
     ~backend ~threads ~ops ~capacity () =
   if oracle && (backend <> B.Sim || threads <> 1) then
     invalid_arg
@@ -89,7 +88,7 @@ let run_point ?spine ?rep ?(shards = 1) ?(batch = 1) ?(oracle = false) ~scheme
        (the detector is not domain-safe, and Native has no Schedpoint \
        dispatch to measure)";
   let cfg =
-    Mm.config ~backend ?rep ~shards ~batch ~threads ~capacity ~num_links:1
+    Mm.config ~backend ~shards ~batch ~threads ~capacity ~num_links:1
       ~num_data:1 ~num_roots:0 ()
   in
   let mm = Registry.instantiate scheme cfg in
@@ -152,7 +151,6 @@ let run_point ?spine ?rep ?(shards = 1) ?(batch = 1) ?(oracle = false) ~scheme
     rev = git_rev ();
     scheme = (if oracle then scheme ^ "+oracle" else scheme);
     backend;
-    rep = cfg.Mm.rep;
     threads;
     shards;
     batch;
@@ -174,21 +172,9 @@ let run_suite ?spine ?(schemes = [ "wfrc" ]) ?(backends = [ B.Sim; B.Native ])
       (fun scheme ->
         List.concat_map
           (fun threads ->
-            List.concat_map
+            List.map
               (fun backend ->
-                (* Native runs under both cell representations so the
-                   boxed/unboxed delta is always on record; Sim is
-                   boxed by construction. *)
-                let reps =
-                  match backend with
-                  | B.Sim -> [ B.Boxed ]
-                  | B.Native -> [ B.Boxed; B.Unboxed ]
-                in
-                List.map
-                  (fun rep ->
-                    run_point ?spine ~scheme ~backend ~rep ~threads ~ops
-                      ~capacity ())
-                  reps)
+                run_point ?spine ~scheme ~backend ~threads ~ops ~capacity ())
               backends)
           threads_list)
       schemes
@@ -303,7 +289,6 @@ let run_actor_point ?spine ?(threads = 4) ?(actors = 10_000)
     rev = git_rev ();
     scheme = scheme ^ "+actor";
     backend = B.Native;
-    rep = cfg.Mm.rep;
     threads;
     shards = cfg.Mm.shards;
     batch = cfg.Mm.batch;
@@ -325,17 +310,16 @@ let run_actor_point ?spine ?(threads = 4) ?(actors = 10_000)
 
 let json_of_point p =
   Printf.sprintf
-    "    {\"rev\": %S, \"scheme\": %S, \"backend\": %S, \"rep\": %S, \
-     \"threads\": %d, \"shards\": %d, \"batch\": %d, \"ops\": %d, \
-     \"wall_ns\": %d, \"ops_per_sec\": %.1f, \"mean_ns\": %.1f, \
-     \"p50_ns\": %d, \"p90_ns\": %d, \"p99_ns\": %d, \"max_ns\": %d, \
-     \"neg_samples\": %d}"
-    p.rev p.scheme (B.name p.backend) (B.rep_name p.rep) p.threads p.shards
-    p.batch p.ops p.wall_ns p.ops_per_sec p.mean_ns p.p50_ns p.p90_ns
-    p.p99_ns p.max_ns p.neg_samples
+    "    {\"rev\": %S, \"scheme\": %S, \"backend\": %S, \"threads\": %d, \
+     \"shards\": %d, \"batch\": %d, \"ops\": %d, \"wall_ns\": %d, \
+     \"ops_per_sec\": %.1f, \"mean_ns\": %.1f, \"p50_ns\": %d, \
+     \"p90_ns\": %d, \"p99_ns\": %d, \"max_ns\": %d, \"neg_samples\": %d}"
+    p.rev p.scheme (B.name p.backend) p.threads p.shards p.batch p.ops
+    p.wall_ns p.ops_per_sec p.mean_ns p.p50_ns p.p90_ns p.p99_ns p.max_ns
+    p.neg_samples
 
 (* Identity of a point within the file: same (rev, scheme, backend,
-   rep, threads, shards, batch) = same measurement, latest run wins.
+   threads, shards, batch) = same measurement, latest run wins.
    Works on the serialised line so foreign points (older formats,
    other writers) can be carried through untouched. *)
 let line_field line name =
@@ -362,10 +346,10 @@ let line_field line name =
 
 let point_key_of_line line =
   List.map (line_field line)
-    [ "rev"; "scheme"; "backend"; "rep"; "threads"; "shards"; "batch" ]
+    [ "rev"; "scheme"; "backend"; "threads"; "shards"; "batch" ]
 
 (* A point line from an older writer may predate one of the key
-   fields (e.g. "rep" or "batch" before those knobs existed):
+   fields (e.g. "batch" before that knob existed):
    [line_field] then returns "" and an exact key comparison would
    never match, so the stale line would survive every re-measure of
    the same configuration and duplicate it forever. An empty field in
@@ -430,7 +414,6 @@ let report ?(counters = []) points =
       [
         Report.dim "scheme";
         Report.dim "backend";
-        Report.dim "rep";
         Report.dim "threads";
         Report.dim "shards";
         Report.dim "batch";
@@ -465,7 +448,6 @@ let report ?(counters = []) points =
          [
            Report.Str p.scheme;
            Report.Str (B.name p.backend);
-           Report.Str (B.rep_name p.rep);
            Report.Int p.threads;
            Report.Int p.shards;
            Report.Int p.batch;

@@ -13,7 +13,6 @@ type point = {
           accumulated JSON *)
   scheme : string;
   backend : Atomics.Backend.t;
-  rep : Atomics.Backend.rep;  (** cell representation (boxed/unboxed) *)
   threads : int;
   shards : int;  (** free-store stripes (1 = legacy global free list) *)
   batch : int;  (** allocation-cache batch size (1 = cache disabled) *)
@@ -40,7 +39,6 @@ val git_rev : unit -> string
 
 val run_point :
   ?spine:Exp_support.Spine.t ->
-  ?rep:Atomics.Backend.rep ->
   ?shards:int ->
   ?batch:int ->
   ?oracle:bool ->
@@ -53,8 +51,7 @@ val run_point :
   point
 (** One cell of the suite. [spine] accumulates the instance's
     {!Atomics.Counters} deltas (see {!Exp_support.Spine}).
-    [rep] (default {!Atomics.Backend.default_rep}) picks the cell
-    representation. [shards]/[batch] (default 1/1) select the sharded
+    [shards]/[batch] (default 1/1) select the sharded
     free store — Native backend only. [oracle] (Sim, single-threaded
     only) arms the full {!Analysis.Reclaim} detector for the measured
     loop and labels the point's scheme ["<scheme>+oracle"] — the delta
@@ -107,9 +104,11 @@ val to_json : string list -> string
 val write_json : path:string -> point list -> unit
 (** Merge-write: points already in the file at [path] are preserved
     unless this run re-measured the same
-    (rev, scheme, backend, rep, threads, shards, batch) key — the
+    (rev, scheme, backend, threads, shards, batch) key — the
     file accumulates measurements across runs and revisions instead
-    of being overwritten. *)
+    of being overwritten. A key field missing from an older line
+    matches any value; fields outside the key (such as the retired
+    ["rep"]) are ignored. *)
 
 val report : ?counters:(string * int) list -> point list -> Report.t
 (** The suite as a typed report (id ["BENCH"]); render or export it

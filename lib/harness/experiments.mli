@@ -156,7 +156,6 @@ val e14 :
 
 val e15 :
   ?schemes:string list ->
-  ?reps:Atomics.Backend.rep list ->
   ?threads_list:int list ->
   ?ops:int ->
   ?capacity:int ->
@@ -164,11 +163,10 @@ val e15 :
   ?batch:int ->
   unit ->
   Report.t
-(** Native scaling sweep: alloc/release churn throughput across cell
-    representation × domain count × free-store configuration
-    (legacy vs sharded). The boxed→unboxed delta per row is the
-    portable signal; multi-domain rows need multi-core hardware to
-    rise. *)
+(** Native scaling sweep: alloc/release churn throughput across
+    domain count × free-store configuration (legacy vs sharded). The
+    sharded-vs-legacy delta at equal domain count is the portable
+    signal; rows with more domains than cores cannot rise. *)
 
 val e16 :
   ?schemes:string list ->

@@ -67,7 +67,7 @@ let create (cfg : Mm_intf.config) =
     Layout.create ~num_links:cfg.num_links ~num_data:cfg.num_data
   in
   let arena =
-    Arena.create ~backend ~rep:cfg.rep ~layout ~capacity:cfg.capacity
+    Arena.create ~backend ~layout ~capacity:cfg.capacity
       ~num_roots:cfg.num_roots ()
   in
   for h = 1 to cfg.capacity do
@@ -88,7 +88,7 @@ let create (cfg : Mm_intf.config) =
   let store =
     if Mm_intf.sharded cfg then
       Some
-        (Freestore.create ~backend ~rep:cfg.rep ~arena ~counters:ctr
+        (Freestore.create ~backend ~arena ~counters:ctr
            ~shards:cfg.shards ~batch:cfg.batch ~threads:cfg.threads ())
     else None
   in

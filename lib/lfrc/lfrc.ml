@@ -50,7 +50,7 @@ let create (cfg : Mm_intf.config) =
     Layout.create ~num_links:cfg.num_links ~num_data:cfg.num_data
   in
   let arena =
-    Arena.create ~backend ~rep:cfg.rep ~layout ~capacity:cfg.capacity
+    Arena.create ~backend ~layout ~capacity:cfg.capacity
       ~num_roots:cfg.num_roots ()
   in
   for h = 1 to cfg.capacity do
@@ -63,7 +63,7 @@ let create (cfg : Mm_intf.config) =
   let store =
     if Mm_intf.sharded cfg then
       Some
-        (Freestore.create ~backend ~rep:cfg.rep ~arena ~counters:ctr
+        (Freestore.create ~backend ~arena ~counters:ctr
            ~shards:cfg.shards ~batch:cfg.batch ~threads:cfg.threads ())
     else None
   in
@@ -75,7 +75,7 @@ let create (cfg : Mm_intf.config) =
     (* the single Treiber head is the scheme's one global hot word;
        under the sharded store it is unused and stays null *)
     hot =
-      Hot.create ~backend ~rep:cfg.rep 1 ~init:(fun _ ->
+      Hot.create ~backend 1 ~init:(fun _ ->
           Value.pack_stamped ~stamp:0
             ~ptr:(if Mm_intf.sharded cfg then Value.null else Value.of_handle 1));
     store;

@@ -35,15 +35,11 @@ type config = {
   num_roots : int;    (* root link cells for the client structure *)
   backend : Atomics.Backend.t;
   (* shared-memory backend every layer below inherits: [Sim] for
-     deterministic-scheduler/lincheck runs (one scheduling point per
-     primitive), [Native] for hook-free Domain-parallel runs with
-     contention padding. *)
-  rep : Atomics.Backend.rep;
-  (* cell representation every layer below inherits: [Boxed] is the
-     dense [int Atomic.t] store (the only choice under [Sim]);
-     [Unboxed] — the [Native] default — puts the arena, the managers'
-     hot globals and the free-store heads on raw out-of-heap word
-     blocks driven by C stubs. *)
+     deterministic-scheduler/lincheck runs (instrumented cells, one
+     scheduling point per primitive), [Native] for hook-free
+     Domain-parallel runs, with the arena, the managers' hot globals
+     and the free-store heads on raw out-of-heap word blocks driven by
+     C stubs. *)
   shards : int;
   (* free-store stripes for the [Native] backend. 1 = the single
      legacy free-list; > 1 splits the node range into per-domain
@@ -63,7 +59,7 @@ type config = {
 }
 
 let config ?(num_links = 0) ?(num_data = 0) ?(num_roots = 0)
-    ?(backend = Atomics.Backend.Sim) ?rep ?(shards = 1) ?(batch = 1)
+    ?(backend = Atomics.Backend.Sim) ?(shards = 1) ?(batch = 1)
     ?(defer = 0) ~threads ~capacity () =
   if threads < 1 then invalid_arg "Mm_intf.config: threads";
   if capacity < 1 then invalid_arg "Mm_intf.config: capacity";
@@ -73,13 +69,6 @@ let config ?(num_links = 0) ?(num_data = 0) ?(num_roots = 0)
   if shards > capacity then invalid_arg "Mm_intf.config: shards > capacity";
   if backend = Atomics.Backend.Sim && (shards > 1 || batch > 1) then
     invalid_arg "Mm_intf.config: sharding requires the Native backend";
-  let rep =
-    match rep with
-    | Some r -> r
-    | None -> Atomics.Backend.default_rep backend
-  in
-  if backend = Atomics.Backend.Sim && rep = Atomics.Backend.Unboxed then
-    invalid_arg "Mm_intf.config: the unboxed rep requires the Native backend";
   {
     threads;
     capacity;
@@ -87,7 +76,6 @@ let config ?(num_links = 0) ?(num_data = 0) ?(num_roots = 0)
     num_data;
     num_roots;
     backend;
-    rep;
     shards;
     batch;
     defer;

@@ -13,29 +13,26 @@
    node remains readable and FAA-able forever — precisely the
    "indefinitely present mm_ref field" assumption of paper §3.
 
-   The arena is a facade over two concrete representations:
+   The backend picks the store behind the facade:
 
-   - [Cells]: the historical dense [int Atomic.t] array. Under [Sim]
-     every word operation crosses one scheduling point through the
-     instrumented {!Atomics.Primitives} (the deterministic scheduler's
-     granularity) — byte-for-byte the original behaviour, oracle hooks
-     intact. Under [Native]+[Boxed] it is direct [Atomic] ops with the
-     contention hot spots (roots, [mm_ref]/[mm_next]) padded to a
-     cache-line pair each.
+   - [Cells] ([Sim]): a dense [int Atomic.t] array. Every word
+     operation crosses one scheduling point through the instrumented
+     {!Atomics.Primitives} (the deterministic scheduler's granularity),
+     carrying the cell's global address for the oracle hooks.
 
-   - [Raw]: a single page-aligned out-of-heap {!Atomics.Words} block
-     ([Native]+[Unboxed], the Native default). No box per cell, no GC
-     traffic, stable addresses; C stubs compile each access to one
-     [__atomic] SEQ_CST instruction. Every root sits on its own
-     cache-line pair (roots are the cross-domain rendezvous words). A
-     node keeps the paper's Fig. 3 word order — [mm_ref], [mm_next],
-     links, data — in a block rounded up to whole 64-byte lines, so
-     each node starts on a line boundary and a visit to it (the D4
-     link read, the D5/R1 [mm_ref] FAA, the R3 link collect) touches
-     one line (two for nodes of more than 8 words).
+   - [Raw] ([Native]): a single page-aligned out-of-heap
+     {!Atomics.Words} block. No box per cell, no GC traffic, stable
+     addresses; C stubs compile each access to one [__atomic] SEQ_CST
+     instruction. Every root sits on its own cache-line pair (roots
+     are the cross-domain rendezvous words). A node keeps the paper's
+     Fig. 3 word order — [mm_ref], [mm_next], links, data — in a block
+     rounded up to whole 64-byte lines, so each node starts on a line
+     boundary and a visit to it (the D4 link read, the D5/R1 [mm_ref]
+     FAA, the R3 link collect) touches one line (two for nodes of more
+     than 8 words).
 
-   The two representations have different *physical* geometries, so
-   all addressing goes through the geometry fields below; [Value.addr]
+   The two stores have different *physical* geometries, so all
+   addressing goes through the geometry fields below; [Value.addr]
    values from one arena are meaningless in another (they always
    were — each arena also claims its own global address window). *)
 
@@ -46,8 +43,6 @@ module Words = Atomics.Words
 type store = Cells of P.cell array | Raw of Words.t
 
 type t = {
-  backend : Backend.t;
-  rep : Backend.rep;
   layout : Layout.t;
   capacity : int;
   num_roots : int;
@@ -70,23 +65,18 @@ type t = {
    affect behaviour. *)
 let next_base = Atomic.make 0
 
-(* Words per 64-byte cache line: the unboxed node block's alignment
+(* Words per 64-byte cache line: the Native node block's alignment
    unit. *)
 let node_line = 8
 
-let create ?(backend = Backend.Sim) ?rep ~layout ~capacity ~num_roots () =
+let create ?(backend = Backend.Sim) ~layout ~capacity ~num_roots () =
   if capacity < 1 then invalid_arg "Arena.create: capacity";
   if num_roots < 0 then invalid_arg "Arena.create: num_roots";
-  let rep =
-    match rep with Some r -> r | None -> Backend.default_rep backend
-  in
-  if backend = Backend.Sim && rep = Backend.Unboxed then
-    invalid_arg "Arena.create: Sim is boxed-only";
   let node_size = Layout.node_size layout in
   let root_stride, nodes_base, node_stride =
-    match rep with
-    | Backend.Boxed -> (1, num_roots, node_size)
-    | Backend.Unboxed ->
+    match backend with
+    | Backend.Sim -> (1, num_roots, node_size)
+    | Backend.Native ->
         (* Roots get a cache-line pair each, so node 1 starts on a line
            boundary of the page-aligned block; node blocks are whole
            64-byte lines in the logical word order. *)
@@ -97,35 +87,12 @@ let create ?(backend = Backend.Sim) ?rep ~layout ~capacity ~num_roots () =
   in
   let size = nodes_base + (capacity * node_stride) in
   let store =
-    match (backend, rep) with
-    | _, Backend.Unboxed -> Raw (Words.make size)
-    | Backend.Sim, Backend.Boxed ->
-        (* Deterministic simulation: no cache to manage, keep cells
-           dense. *)
-        Cells (Array.init size (fun _ -> P.make 0))
-    | Backend.Native, Backend.Boxed ->
-        let cells = Array.make size (Atomic.make 0) in
-        for r = 0 to num_roots - 1 do
-          cells.(r) <- Backend.make_contended backend 0
-        done;
-        for h = 0 to capacity - 1 do
-          let base = num_roots + (h * node_size) in
-          (* Hot header words first, padded; then the node's link and
-             data words as one contiguous batch. *)
-          cells.(base + Layout.mm_ref_offset) <-
-            Backend.make_contended backend 0;
-          cells.(base + Layout.mm_next_offset) <-
-            Backend.make_contended backend 0;
-          for off = Layout.header_size to node_size - 1 do
-            cells.(base + off) <- Atomic.make 0
-          done
-        done;
-        Cells cells
+    match backend with
+    | Backend.Sim -> Cells (Array.init size (fun _ -> P.make 0))
+    | Backend.Native -> Raw (Words.make size)
   in
   let base = Atomic.fetch_and_add next_base size in
   {
-    backend;
-    rep;
     layout;
     capacity;
     num_roots;
@@ -137,8 +104,6 @@ let create ?(backend = Backend.Sim) ?rep ~layout ~capacity ~num_roots () =
     base;
   }
 
-let backend t = t.backend
-let rep t = t.rep
 let layout t = t.layout
 let capacity t = t.capacity
 let num_roots t = t.num_roots
@@ -162,7 +127,7 @@ let node_base t h =
   t.nodes_base + ((h - 1) * t.node_stride)
 
 (* Inside a node block the physical offset of a field is its logical
-   offset in both representations ([mm_ref] is word 0). *)
+   offset in both stores ([mm_ref] is word 0). *)
 let mm_ref_addr t p = node_base t (Value.handle p)
 let mm_next_addr t p = node_base t (Value.handle p) + Layout.mm_next_offset
 
@@ -174,7 +139,7 @@ let data_addr t p j =
 
 (* [owner_of addr] inverts the mapping: which node (if any) contains
    this cell, and at which *logical* offset (0 = [mm_ref], 1 =
-   [mm_next], then links and data) — uniform across representations.
+   [mm_next], then links and data) — uniform across stores.
    Padding words have no owner and are rejected. Used by invariant
    checkers. *)
 let owner_of t addr =
@@ -190,56 +155,39 @@ let owner_of t addr =
     else invalid_arg "Arena.owner_of: padding word"
   end
 
-(* Word operations: dispatched on the stored representation ---------
+(* Word operations: dispatched on the store ---------------------------
 
-   The [Sim] arm uses the instrumented primitives so the scheduling
+   The [Cells] arm uses the instrumented primitives so the scheduling
    crossing carries this cell's global address and access kind —
    scheduling behaviour is identical to the plain primitives (one
    crossing per operation), and with no validator installed the
-   metadata costs one no-op call. [Native]+[Boxed] stays a direct
-   [Atomic] operation: no hook, no validator, no metadata. [Raw] is
-   one C stub call per access — a single [__atomic] instruction on the
-   out-of-heap block. *)
+   metadata costs one no-op call. [Raw] is one C stub call per access
+   — a single [__atomic] instruction on the out-of-heap block. *)
 
 let read t addr =
   match t.store with
   | Raw w -> Words.get w addr
-  | Cells cells -> (
-      match t.backend with
-      | Backend.Sim -> P.read_at ~addr:(t.base + addr) cells.(addr)
-      | Backend.Native -> Atomic.get cells.(addr))
+  | Cells cells -> P.read_at ~addr:(t.base + addr) cells.(addr)
 
 let write t addr v =
   match t.store with
   | Raw w -> Words.set w addr v
-  | Cells cells -> (
-      match t.backend with
-      | Backend.Sim -> P.write_at ~addr:(t.base + addr) cells.(addr) v
-      | Backend.Native -> Atomic.set cells.(addr) v)
+  | Cells cells -> P.write_at ~addr:(t.base + addr) cells.(addr) v
 
 let cas t addr ~old ~nw =
   match t.store with
   | Raw w -> Words.cas w addr ~old ~nw
-  | Cells cells -> (
-      match t.backend with
-      | Backend.Sim -> P.cas_at ~addr:(t.base + addr) cells.(addr) ~old ~nw
-      | Backend.Native -> Atomic.compare_and_set cells.(addr) old nw)
+  | Cells cells -> P.cas_at ~addr:(t.base + addr) cells.(addr) ~old ~nw
 
 let faa t addr delta =
   match t.store with
   | Raw w -> Words.faa w addr delta
-  | Cells cells -> (
-      match t.backend with
-      | Backend.Sim -> P.faa_at ~addr:(t.base + addr) cells.(addr) delta
-      | Backend.Native -> Atomic.fetch_and_add cells.(addr) delta)
+  | Cells cells -> P.faa_at ~addr:(t.base + addr) cells.(addr) delta
 
 let swap t addr v =
   match t.store with
   | Raw w -> Words.swap w addr v
-  | Cells cells -> (
-      match t.backend with
-      | Backend.Sim -> P.swap_at ~addr:(t.base + addr) cells.(addr) v
-      | Backend.Native -> Atomic.exchange cells.(addr) v)
+  | Cells cells -> P.swap_at ~addr:(t.base + addr) cells.(addr) v
 
 (* mm-field conveniences (all atomic word ops on the cells above). *)
 
@@ -256,8 +204,8 @@ let write_data t p j v = write t (data_addr t p j) v
 
 (* Fused reference-count fragments. The [Raw] arms collapse the
    sequence into one stub crossing; the [Cells] arms execute the same
-   ops through the per-word entry points — under [Sim] that means the
-   same scheduling points in the same order as ever. *)
+   ops through the per-word entry points — the same scheduling points
+   in the same order as ever. *)
 
 (* ReleaseRef R1-R2: drop a reference; true iff the count hit zero and
    this caller claimed the node with the CAS(0 -> 1). *)
@@ -305,7 +253,7 @@ let release_collect t p ~out =
       end
       else -1
 
-(* The raw word block (unboxed rep only) and the physical node
+(* The raw word block ([Native] only) and the physical node
    geometry, for fusions that span the arena and a manager's hot
    vector (see {!Atomics.Words.take_fix}/[free_donate]). Addressing
    uses the same physical [Value.addr] values as [read]/[write]

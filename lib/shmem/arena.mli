@@ -1,6 +1,5 @@
 (** The simulated shared memory: root link cells followed by
-    fixed-size node blocks, behind a backend- and representation-
-    dispatched facade.
+    fixed-size node blocks, behind a backend-dispatched facade.
 
     Cells live for the lifetime of the arena, so the [mm_ref] word of
     a reclaimed node stays accessible — the paper's §3 assumption. All
@@ -11,7 +10,6 @@ type t
 
 val create :
   ?backend:Atomics.Backend.t ->
-  ?rep:Atomics.Backend.rep ->
   layout:Layout.t ->
   capacity:int ->
   num_roots:int ->
@@ -21,24 +19,18 @@ val create :
     [capacity] nodes (handles [1..capacity]) preceded by [num_roots]
     root link cells. All cells start at 0 (= null pointer).
 
-    [backend] (default [Sim]) selects the word-operation cost model:
-    [Sim] crosses one {!Atomics.Schedpoint} per primitive (the
-    deterministic scheduler's granularity); [Native] is hook-free.
-
-    [rep] (default {!Atomics.Backend.default_rep}) selects the store:
-    [Boxed] is the dense [int Atomic.t] array (under [Native], roots
-    and each node's [mm_ref]/[mm_next] padded to a cache-line pair and
-    node blocks allocated in one batch); [Unboxed] ([Native] only) is
-    a single page-aligned out-of-heap {!Atomics.Words} block in which
-    each root has a 16-word (128-byte) slot and each node a block of
-    [node_size] rounded up to a multiple of 8 words, starting on a
-    64-byte boundary, with the fields in logical order ([mm_ref] at
-    +0, [mm_next] at +1, links and data from +2). The two reps have
+    [backend] (default [Sim]) selects the store and its cost model.
+    [Sim] is a dense [int Atomic.t] array whose every word operation
+    crosses one {!Atomics.Schedpoint} (the deterministic scheduler's
+    granularity). [Native] is a single page-aligned out-of-heap
+    {!Atomics.Words} block, hook-free, in which each root has a
+    16-word (128-byte) slot and each node a block of [node_size]
+    rounded up to a multiple of 8 words, starting on a 64-byte
+    boundary, with the fields in logical order ([mm_ref] at +0,
+    [mm_next] at +1, links and data from +2). The two stores have
     different physical geometries — always address through the
     functions below. *)
 
-val backend : t -> Atomics.Backend.t
-val rep : t -> Atomics.Backend.rep
 val layout : t -> Layout.t
 val capacity : t -> int
 val num_roots : t -> int
@@ -58,7 +50,7 @@ val addr_base : t -> int
 (** {1 Addressing}
 
     All functions return {e physical} addresses valid only for this
-    arena's representation. *)
+    arena's store. *)
 
 val root_addr : t -> int -> Value.addr
 val node_base : t -> int -> Value.addr
@@ -70,8 +62,8 @@ val data_addr : t -> Value.ptr -> int -> Value.addr
 val owner_of : t -> Value.addr -> [ `Root of int | `Node of int * int ]
 (** Inverse mapping: root index, or (node handle, {e logical} cell
     offset: 0 = [mm_ref], 1 = [mm_next], then links and data) —
-    uniform across representations. Rejects out-of-range addresses and
-    ([Unboxed]) padding words. *)
+    uniform across stores. Rejects out-of-range addresses and
+    ([Native]) padding words. *)
 
 (** {1 Atomic word operations (paper Figure 2)} *)
 
@@ -95,9 +87,8 @@ val write_data : t -> Value.ptr -> int -> int -> unit
 
 (** {1 Fused reference-count fragments}
 
-    One stub crossing under [Unboxed]; the boxed arms issue the same
-    per-word ops individually (one scheduling point each under
-    [Sim]). *)
+    One stub crossing under [Native]; under [Sim] the same per-word
+    ops are issued individually (one scheduling point each). *)
 
 val release_mm_ref : t -> Value.ptr -> bool
 (** ReleaseRef R1–R2: FAA the node's [mm_ref] by [-2]; true iff it
@@ -114,7 +105,7 @@ val release_collect : t -> Value.ptr -> out:int array -> int
     Returns the deposit count, or [-1] when not claimed. *)
 
 val raw : t -> Atomics.Words.t option
-(** The backing {!Atomics.Words} block ([Unboxed] only) — for fusions
+(** The backing {!Atomics.Words} block ([Native] only) — for fusions
     spanning the arena and a hot vector (see
     {!Atomics.Words.take_fix} and {!Atomics.Words.free_donate}).
     Address it with the {e physical} addresses from the addressing

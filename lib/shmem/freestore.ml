@@ -20,9 +20,9 @@
    - an empty home stripe steals round-robin from the other stripes.
 
    The stripe heads, return-buffer slots and producer cursors all live
-   on one {!Atomics.Hot} vector, so under the [Unboxed] representation
-   they share the arena's raw-word regime: no boxes, no GC traffic,
-   each word on its own cache-line pair.
+   on one {!Atomics.Hot} vector, so they share the arena's raw-word
+   regime: no boxes, no GC traffic, each word on its own cache-line
+   pair.
 
    ABA safety: every successful head CAS increments the stamp, so a
    successful batch pop (read head, walk [batch] nodes, CAS the head
@@ -48,7 +48,6 @@
    Native-only path, keeping the deterministic scheduler's and
    lincheck's per-primitive schedules byte-for-byte unchanged. *)
 
-module B = Atomics.Backend
 module C = Atomics.Counters
 module Hot = Atomics.Hot
 module Park = Atomics.Park
@@ -59,7 +58,6 @@ type cache = {
 }
 
 type t = {
-  backend : B.t;
   arena : Arena.t;
   capacity : int;
   shards : int;
@@ -88,10 +86,9 @@ let hw_rbuf t s i = (2 * t.shards) + (s * t.rbuf_size) + i
 let stripe_of t p = (Value.handle p - 1) * t.shards / t.capacity
 let home_of t ~tid = tid mod t.shards
 
-let create ~backend ?rep ~arena ~counters ~shards ~batch ~threads () =
+let create ~backend ~arena ~counters ~shards ~batch ~threads () =
   if shards < 1 then invalid_arg "Freestore.create: shards";
   if batch < 1 then invalid_arg "Freestore.create: batch";
-  let rep = match rep with Some r -> r | None -> B.default_rep backend in
   let capacity = Arena.capacity arena in
   if shards > capacity then invalid_arg "Freestore.create: shards > capacity";
   (* Chain each stripe's handle range, low handle first. *)
@@ -104,13 +101,12 @@ let create ~backend ?rep ~arena ~counters ~shards ~batch ~threads () =
   done;
   let rbuf_size = max 4 (2 * batch) in
   let hot =
-    Hot.create ~backend ~rep
+    Hot.create ~backend
       ((2 * shards) + (shards * rbuf_size))
       ~init:(fun i ->
         if i < shards then Value.pack_stamped ~stamp:0 ~ptr:firsts.(i) else 0)
   in
   {
-    backend;
     arena;
     capacity;
     shards;

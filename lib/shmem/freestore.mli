@@ -11,7 +11,6 @@ type t
 
 val create :
   backend:Atomics.Backend.t ->
-  ?rep:Atomics.Backend.rep ->
   arena:Arena.t ->
   counters:Atomics.Counters.t ->
   shards:int ->
@@ -22,10 +21,9 @@ val create :
 (** Builds the store over [arena] with every node free: the handle
     range is split into [shards] contiguous stripes and chained. The
     caller's prior free-list initialisation of [mm_next] is
-    overwritten; [mm_ref] words are untouched. [rep] (default
-    {!Atomics.Backend.default_rep}) picks where the stripe heads,
-    return slots and cursors live: padded boxed cells, or one raw
-    {!Atomics.Hot} word block. Counter events
+    overwritten; [mm_ref] words are untouched. The stripe heads,
+    return slots and cursors live on one {!Atomics.Hot} vector.
+    Counter events
     ([Cache_refill]/[Cache_spill]/[Free_remote]/[Steal], plus
     [Alloc_retry]/[Free_retry] on head-CAS failures and
     [Park_wait]/[Park_wake] around {!wait_free}) are recorded in

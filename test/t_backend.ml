@@ -46,10 +46,11 @@ let cell_tests =
    every scheme's protocol (the retire-based schemes need the
    enter/exit bracket and [terminate] at unlink time; the RC schemes
    treat both as cheap bookkeeping). Returns a full behavioural trace
-   plus the final counter totals — everything observable. *)
-let run_workload ?rep ~backend scheme =
+   plus the final counter totals — everything observable — and
+   whether the instance's arena sits on a raw word store. *)
+let run_workload ~backend scheme =
   let cfg =
-    Mm.config ~backend ?rep ~threads:2 ~capacity:64 ~num_links:1 ~num_data:1
+    Mm.config ~backend ~threads:2 ~capacity:64 ~num_links:1 ~num_data:1
       ~num_roots:2 ()
   in
   let mm = Harness.Registry.instantiate scheme cfg in
@@ -109,11 +110,11 @@ let run_workload ?rep ~backend scheme =
            Printf.sprintf "%s=%d" (Atomics.Counters.event_name ev) n)
          (Atomics.Counters.snapshot (Mm.counters mm)))
   in
-  (List.rev !trace, counters)
+  (List.rev !trace, counters, Arena.raw (Mm.arena mm) <> None)
 
-let stack_roundtrip ?rep ~backend () =
+let stack_roundtrip ~backend () =
   let cfg =
-    Mm.config ~backend ?rep ~threads:2 ~capacity:32 ~num_links:1 ~num_data:1
+    Mm.config ~backend ~threads:2 ~capacity:32 ~num_links:1 ~num_data:1
       ~num_roots:1 ()
   in
   let mm = Harness.Registry.instantiate "wfrc" cfg in
@@ -123,38 +124,29 @@ let stack_roundtrip ?rep ~backend () =
   done;
   Structures.Stack.drain stack ~tid:0
 
-(* Every scheme, against BOTH native cell representations: the boxed
-   atomic array and the unboxed word store must each reproduce the
-   Sim trace and counter totals exactly. *)
+(* Every scheme on the Native raw word store must reproduce the Sim
+   trace and counter totals exactly. *)
 let equivalence_tests =
-  List.concat_map
+  List.map
     (fun scheme ->
-      let sim = lazy (run_workload ~backend:B.Sim scheme) in
-      List.map
-        (fun rep ->
-          tc
-            (Printf.sprintf "%s on native %s matches sim" scheme
-               (B.rep_name rep))
-            (fun () ->
-              let sim_trace, sim_ctr = Lazy.force sim in
-              let nat_trace, nat_ctr =
-                run_workload ~backend:B.Native ~rep scheme
-              in
-              Alcotest.(check (list int)) "trace" sim_trace nat_trace;
-              check_string "counters" sim_ctr nat_ctr))
-        [ B.Boxed; B.Unboxed ])
+      tc
+        (Printf.sprintf "%s on native unboxed matches sim" scheme)
+        (fun () ->
+          let sim_trace, sim_ctr, _ = run_workload ~backend:B.Sim scheme in
+          let nat_trace, nat_ctr, nat_raw =
+            run_workload ~backend:B.Native scheme
+          in
+          check_bool "native arena is a raw store" true nat_raw;
+          Alcotest.(check (list int)) "trace" sim_trace nat_trace;
+          check_string "counters" sim_ctr nat_ctr))
     Harness.Registry.names
-  @ List.map
-      (fun rep ->
-        tc
-          (Printf.sprintf "stack round-trip is backend-independent (%s)"
-             (B.rep_name rep))
-          (fun () ->
-            Alcotest.(check (list int))
-              "drain"
-              (stack_roundtrip ~backend:B.Sim ())
-              (stack_roundtrip ~backend:B.Native ~rep ())))
-      [ B.Boxed; B.Unboxed ]
+  @ [
+      tc "stack round-trip is backend-independent" (fun () ->
+          Alcotest.(check (list int))
+            "drain"
+            (stack_roundtrip ~backend:B.Sim ())
+            (stack_roundtrip ~backend:B.Native ()));
+    ]
 
 (* The sharded native store must not change what any scheme computes.
    Raw handle traces are not comparable across allocators — a free

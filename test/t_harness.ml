@@ -290,7 +290,6 @@ let bench_report_tests =
             Harness.Bench.rev = "abcdef0";
             scheme = "wfrc";
             backend = Atomics.Backend.Native;
-            rep = Atomics.Backend.Unboxed;
             threads = 1;
             shards = 1;
             batch = 1;
@@ -320,17 +319,18 @@ let bench_report_tests =
                 [ Harness.Bench.json_of_point (point 3) ])
              "\"neg_samples\": 3"));
     tc "bench merge replaces old-format lines missing key fields" (fun () ->
-        (* A BENCH file written before the "rep"/"batch" knobs existed:
-           its point lines lack those key fields entirely. Re-measuring
-           the same configuration must replace such a line (missing
-           field = wildcard), not duplicate it forever; points for
-           other configurations must still be carried through. *)
+        (* BENCH lines from older writers: one predates the "batch" knob
+           (the key field is missing), one still carries the retired
+           "rep" field. Re-measuring the same configuration at the same
+           rev must replace both (a missing key field is a wildcard,
+           "rep" is not part of the key), not duplicate them forever;
+           points for other configurations — another scheme, another
+           rev — must be carried through untouched. *)
         let point =
           {
             Harness.Bench.rev = "abcdef0";
             scheme = "wfrc";
             backend = Atomics.Backend.Native;
-            rep = Atomics.Backend.Unboxed;
             threads = 1;
             shards = 1;
             batch = 1;
@@ -345,33 +345,50 @@ let bench_report_tests =
             neg_samples = 0;
           }
         in
-        let old_line scheme =
+        let pre_batch rev scheme =
           Printf.sprintf
-            "    {\"rev\": \"abcdef0\", \"scheme\": %S, \"backend\": \
+            "    {\"rev\": %S, \"scheme\": %S, \"backend\": \
              \"native\", \"threads\": 1, \"shards\": 1, \"ops\": 7, \
              \"ops_per_sec\": 7.0}"
-            scheme
+            rev scheme
+        in
+        let with_rep rev scheme =
+          Printf.sprintf
+            "    {\"rev\": %S, \"scheme\": %S, \"backend\": \
+             \"native\", \"rep\": \"unboxed\", \"threads\": 1, \
+             \"shards\": 1, \"batch\": 1, \"ops\": 8, \"ops_per_sec\": \
+             8.0}"
+            rev scheme
         in
         let path = Filename.temp_file "bench_merge" ".json" in
         Fun.protect ~finally:(fun () -> try Sys.remove path with _ -> ())
         @@ fun () ->
         let oc = open_out path in
         output_string oc
-          (Harness.Bench.to_json [ old_line "wfrc"; old_line "lfrc" ]);
+          (Harness.Bench.to_json
+             [
+               pre_batch "abcdef0" "wfrc";
+               with_rep "abcdef0" "wfrc";
+               pre_batch "abcdef0" "lfrc";
+               with_rep "1234567" "wfrc";
+             ]);
         close_out oc;
         Harness.Bench.write_json ~path [ point ];
         let ic = open_in path in
         let n = in_channel_length ic in
         let merged = really_input_string ic n in
         close_in ic;
-        check_bool "stale old-format wfrc line replaced" false
-          (contains merged
-             "\"scheme\": \"wfrc\", \"backend\": \"native\", \"threads\": \
-              1, \"shards\": 1, \"ops\": 7");
-        check_bool "fresh wfrc point present" true
-          (contains merged "\"rep\": \"unboxed\"");
-        check_bool "foreign lfrc point carried through" true
-          (contains merged "\"scheme\": \"lfrc\""));
+        check_bool "stale pre-batch wfrc line replaced" false
+          (contains merged (pre_batch "abcdef0" "wfrc"));
+        check_bool "stale rep-tagged wfrc line replaced" false
+          (contains merged (with_rep "abcdef0" "wfrc"));
+        check_bool "fresh wfrc point present, without rep" true
+          (contains merged (Harness.Bench.json_of_point point)
+          && not (contains (Harness.Bench.json_of_point point) "\"rep\""));
+        check_bool "other scheme carried through" true
+          (contains merged (pre_batch "abcdef0" "lfrc"));
+        check_bool "other rev carried through" true
+          (contains merged (with_rep "1234567" "wfrc")));
   ]
 
 let registry_tests =
