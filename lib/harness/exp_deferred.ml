@@ -11,9 +11,10 @@
    checks the runs for use-after-free/double-free: the FAAs saved must
    not come at the cost of reclamation safety.
 
-   [faa_traffic] is the measurement core shared with the
-   `bench --check-scaling` gate, which requires the eager/deferred
-   FAA ratio at the most read-heavy mix to stay >= 5x. *)
+   [faa_traffic] is the measurement core of the deferred-rc gate, a
+   tier-1 test (test/t_experiments.ml) that requires the
+   eager/deferred FAA ratio at the most read-heavy mix to stay
+   >= 5x. *)
 
 module Mm = Mm_intf
 module Rng = Sched.Rng
@@ -162,9 +163,9 @@ let e17 ?(schemes = [ "wfrc"; "wfrc_deferred" ])
          oracle's access tally; every run is simultaneously checked \
          for use-after-free/double-free and drains to all-free";
         "the deferred reader's steady state is buffer-local: release \
-         parks the decrement, the next deref cancels it — the \
-         bench --check-scaling gate holds the eager/deferred FAA \
-         ratio at the read-heaviest mix to >= 5x";
+         parks the decrement, the next deref cancels it — a tier-1 \
+         test holds the eager/deferred FAA ratio at the read-heaviest \
+         mix to >= 5x";
       ]
     rows
 

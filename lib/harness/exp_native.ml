@@ -12,9 +12,11 @@
    Rows with more domains than the host has cores time-share them, so
    absolute throughput drops there regardless of the memory layer;
    the portable signal is the sharded rows against the legacy rows at
-   the same domain count. On real multi-core hardware the sharded
-   curve is the one the CI scaling gate (bench --check-scaling)
-   enforces to be non-inverting. *)
+   the same domain count. The report ends in the 1→N scaling verdict
+   ([scaling_verdict]): the best row at the highest domain count must
+   not fall below the best at the lowest. CI's native-perf job runs
+   the full sweep on a multi-core runner and fails on
+   "scaling FAIL". *)
 
 module Mm = Mm_intf
 module B = Atomics.Backend
@@ -31,10 +33,41 @@ let churn mm ~threads ~ops =
         with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ()
       done)
 
+(* The scaling gate over (domains, pairs/s) rows: any row counts,
+   legacy or sharded, so it asks "does the best configuration at the
+   highest domain count beat the best at the lowest?". *)
+let scaling_verdict rows =
+  match rows with
+  | [] -> Error "scaling FAIL: no rows measured"
+  | _ ->
+      let ds = List.map fst rows in
+      let lo = List.fold_left min max_int ds
+      and hi = List.fold_left max min_int ds in
+      let best d =
+        List.fold_left
+          (fun acc (d', r) -> if d' = d then Float.max acc r else acc)
+          0. rows
+      in
+      let blo = best lo and bhi = best hi in
+      if hi = lo then
+        Ok (Printf.sprintf "scaling ok: only one domain count measured (%d)" lo)
+      else if bhi < blo then
+        Error
+          (Printf.sprintf
+             "scaling FAIL: best %.0f pairs/s at %d domains < %.0f pairs/s \
+              at %d"
+             bhi hi blo lo)
+      else
+        Ok
+          (Printf.sprintf
+             "scaling ok: best %.0f pairs/s at %d domains >= %.0f pairs/s \
+              at %d"
+             bhi hi blo lo)
+
 let e15 ?(schemes = [ "wfrc" ]) ?(threads_list = [ 1; 2; 4 ])
     ?(ops = 2_000_000) ?(capacity = 1 lsl 13) ?(shards = 4) ?(batch = 8) () =
   let spine = Spine.create () in
-  let rows = ref [] in
+  let rows = ref [] and points = ref [] in
   List.iter
     (fun scheme ->
       List.iter
@@ -53,14 +86,16 @@ let e15 ?(schemes = [ "wfrc" ]) ?(threads_list = [ 1; 2; 4 ])
                 Spine.wrap row_spine mm (fun () -> churn mm ~threads ~ops)
               in
               let pairs = Spine.total row_spine Alloc in
+              let rate = Runner.throughput ~ops:pairs result in
               Spine.merge_into spine row_spine;
+              points := (threads, rate) :: !points;
               rows :=
                 [
                   Report.Str scheme;
                   Report.Int threads;
                   Report.Int shards;
                   Report.Int batch;
-                  Report.Ops (Runner.throughput ~ops:pairs result);
+                  Report.Ops rate;
                   Report.Int (Spine.total row_spine Alloc_retry);
                   Report.Int (Spine.total row_spine Park_wait);
                   Report.Int (Spine.total row_spine Park_wake);
@@ -101,8 +136,9 @@ let e15 ?(schemes = [ "wfrc" ]) ?(threads_list = [ 1; 2; 4 ])
          rows add the striped free store with domain-local caches";
         "rows with more domains than cores time-share them and absolute \
          throughput drops; the sharded-vs-legacy delta at equal domains \
-         is the portable signal (the CI scaling gate runs on multi-core \
-         runners)";
+         is the portable signal, and the scaling verdict below is a real \
+         gate only with at least as many cores as domains";
+        (match scaling_verdict !points with Ok v | Error v -> v);
       ]
     (List.rev !rows)
 

@@ -32,6 +32,7 @@ let e12 = Exp_fault.e12
 let e13 = Exp_fault.e13
 let e14 = Exp_shard.e14
 let e15 = Exp_native.e15
+let scaling_verdict = Exp_native.scaling_verdict
 let e16 = Exp_fault.e16
 let e17 = Exp_deferred.e17
 let e18 = Exp_actor.e18

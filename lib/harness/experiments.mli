@@ -166,7 +166,15 @@ val e15 :
 (** Native scaling sweep: alloc/release churn throughput across
     domain count × free-store configuration (legacy vs sharded). The
     sharded-vs-legacy delta at equal domain count is the portable
-    signal; rows with more domains than cores cannot rise. *)
+    signal; rows with more domains than cores cannot rise. The last
+    note is the {!scaling_verdict} over every row. *)
+
+val scaling_verdict : (int * float) list -> (string, string) result
+(** E15's 1→N scaling gate over [(domains, pairs/s)] rows: [Ok] when
+    the best rate at the highest domain count is >= the best at the
+    lowest (or only one domain count was measured), [Error] on an
+    inversion or no rows. Both carry the printed verdict line,
+    ["scaling ok: …"] or ["scaling FAIL: …"]. *)
 
 val e16 :
   ?schemes:string list ->
@@ -197,9 +205,9 @@ val e17 :
   unit ->
   Report.t
 (** Read-heavy rc traffic: arena FAA counts for eager wfrc vs
-    wfrc_deferred under the reclamation oracle (DESIGN.md §6.3). The
-    [bench --check-scaling] gate holds the eager/deferred ratio at
-    the read-heaviest mix to >= 5x via {!Exp_deferred.faa_traffic}. *)
+    wfrc_deferred under the reclamation oracle (DESIGN.md §6.3). A
+    tier-1 test holds the eager/deferred ratio at the read-heaviest
+    mix to >= 5x via {!Exp_deferred.faa_traffic}. *)
 
 val e18 :
   ?schemes:string list ->

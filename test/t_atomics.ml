@@ -188,11 +188,15 @@ let park_tests =
               Park.park p ~gen ~timeout_ns:(-1);
               Atomic.set woken true)
         in
-        (* wait until the parker is registered, then wake it *)
+        (* wait until the parker is registered, then wake it. A wake
+           that lands between the parker's registration and its
+           generation read is absorbed (the parker sleeps on the
+           bumped generation), so keep waking until it reports back. *)
         while Park.waiters p = 0 do
           Domain.cpu_relax ()
         done;
-        while not (Park.wake p) && not (Atomic.get woken) do
+        while not (Atomic.get woken) do
+          ignore (Park.wake p);
           Domain.cpu_relax ()
         done;
         Domain.join d;

@@ -136,6 +136,33 @@ let suite =
         wellformed
           (Harness.Experiments.a3 ~threads_list:[ 2 ] ~ops:4_000
              ~capacity:512 ()));
+    tc "deferred rc cuts arena FAAs >= 5x on the 99% read mix" (fun () ->
+        let eager, deferred = Harness.Exp_deferred.faa_traffic () in
+        check_bool
+          (Printf.sprintf "eager %d >= 5 x deferred %d" eager deferred)
+          true
+          (eager >= 5 * max 1 deferred));
+    tc "scaling verdict fails on an inversion or no rows" (fun () ->
+        List.iter
+          (fun rows ->
+            match Harness.Experiments.scaling_verdict rows with
+            | Error v -> check_bool v true (contains v "scaling FAIL")
+            | Ok v -> Alcotest.failf "expected FAIL, got %S" v)
+          [ [ (1, 5e6); (1, 6e6); (2, 7e6); (4, 4e6); (4, 5.9e6) ]; [] ]);
+    tc "scaling verdict passes equal or rising throughput" (fun () ->
+        List.iter
+          (fun rows ->
+            match Harness.Experiments.scaling_verdict rows with
+            | Ok v -> check_bool v true (contains v "scaling ok")
+            | Error v -> Alcotest.failf "expected ok, got %S" v)
+          [
+            [ (1, 5e6); (4, 5e6) ];
+            [ (1, 5e6); (1, 2e6); (2, 1e6); (4, 3e6); (4, 9e6) ];
+          ]);
+    tc "scaling verdict passes a single domain count" (fun () ->
+        match Harness.Experiments.scaling_verdict [ (2, 9e6); (2, 1e6) ] with
+        | Ok v -> check_bool v true (contains v "only one domain count")
+        | Error v -> Alcotest.failf "expected ok, got %S" v);
     tc "experiment registry resolves every id" (fun () ->
         List.iter
           (fun id ->

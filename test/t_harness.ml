@@ -282,113 +282,67 @@ let config_tests =
         check_bool "defaults are legacy" false (Mm_intf.sharded legacy));
   ]
 
-let bench_report_tests =
+(* [Bench.git_rev] reads [.git] relative to the cwd, so each case
+   builds a throwaway checkout and runs from inside it. *)
+let with_checkout files f =
+  let dir = Filename.temp_dir "wfrc_git_rev" "" in
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      Sys.mkdir d 0o755
+    end
+  in
+  let cwd = Sys.getcwd () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      rm dir)
+  @@ fun () ->
+  List.iter
+    (fun (rel, contents) ->
+      let path = Filename.concat dir rel in
+      mkdir_p (Filename.dirname path);
+      let oc = open_out path in
+      output_string oc contents;
+      close_out oc)
+    files;
+  Sys.chdir dir;
+  f ()
+
+let sha_main = "0123456789abcdef0123456789abcdef01234567"
+let sha_other = "fedcba9876543210fedcba9876543210fedcba98"
+
+let git_rev_tests =
   [
-    tc "bench report surfaces negative timer samples" (fun () ->
-        let point neg =
-          {
-            Harness.Bench.rev = "abcdef0";
-            scheme = "wfrc";
-            backend = Atomics.Backend.Native;
-            threads = 1;
-            shards = 1;
-            batch = 1;
-            ops = 100;
-            wall_ns = 1_000;
-            ops_per_sec = 1.0;
-            mean_ns = 1.0;
-            p50_ns = 1;
-            p90_ns = 1;
-            p99_ns = 1;
-            max_ns = 1;
-            neg_samples = neg;
-          }
-        in
-        let has_warning r =
-          List.exists
-            (fun n -> contains n "negative timer")
-            r.Harness.Report.notes
-        in
-        check_bool "clean points carry no warning" false
-          (has_warning (Harness.Bench.report [ point 0 ]));
-        check_bool "negative samples raise a note" true
-          (has_warning (Harness.Bench.report [ point 3 ]));
-        check_bool "json carries the field" true
-          (contains
-             (Harness.Bench.to_json
-                [ Harness.Bench.json_of_point (point 3) ])
-             "\"neg_samples\": 3"));
-    tc "bench merge replaces old-format lines missing key fields" (fun () ->
-        (* BENCH lines from older writers: one predates the "batch" knob
-           (the key field is missing), one still carries the retired
-           "rep" field. Re-measuring the same configuration at the same
-           rev must replace both (a missing key field is a wildcard,
-           "rep" is not part of the key), not duplicate them forever;
-           points for other configurations — another scheme, another
-           rev — must be carried through untouched. *)
-        let point =
-          {
-            Harness.Bench.rev = "abcdef0";
-            scheme = "wfrc";
-            backend = Atomics.Backend.Native;
-            threads = 1;
-            shards = 1;
-            batch = 1;
-            ops = 100;
-            wall_ns = 1_000;
-            ops_per_sec = 1.0;
-            mean_ns = 1.0;
-            p50_ns = 1;
-            p90_ns = 1;
-            p99_ns = 1;
-            max_ns = 1;
-            neg_samples = 0;
-          }
-        in
-        let pre_batch rev scheme =
-          Printf.sprintf
-            "    {\"rev\": %S, \"scheme\": %S, \"backend\": \
-             \"native\", \"threads\": 1, \"shards\": 1, \"ops\": 7, \
-             \"ops_per_sec\": 7.0}"
-            rev scheme
-        in
-        let with_rep rev scheme =
-          Printf.sprintf
-            "    {\"rev\": %S, \"scheme\": %S, \"backend\": \
-             \"native\", \"rep\": \"unboxed\", \"threads\": 1, \
-             \"shards\": 1, \"batch\": 1, \"ops\": 8, \"ops_per_sec\": \
-             8.0}"
-            rev scheme
-        in
-        let path = Filename.temp_file "bench_merge" ".json" in
-        Fun.protect ~finally:(fun () -> try Sys.remove path with _ -> ())
-        @@ fun () ->
-        let oc = open_out path in
-        output_string oc
-          (Harness.Bench.to_json
-             [
-               pre_batch "abcdef0" "wfrc";
-               with_rep "abcdef0" "wfrc";
-               pre_batch "abcdef0" "lfrc";
-               with_rep "1234567" "wfrc";
-             ]);
-        close_out oc;
-        Harness.Bench.write_json ~path [ point ];
-        let ic = open_in path in
-        let n = in_channel_length ic in
-        let merged = really_input_string ic n in
-        close_in ic;
-        check_bool "stale pre-batch wfrc line replaced" false
-          (contains merged (pre_batch "abcdef0" "wfrc"));
-        check_bool "stale rep-tagged wfrc line replaced" false
-          (contains merged (with_rep "abcdef0" "wfrc"));
-        check_bool "fresh wfrc point present, without rep" true
-          (contains merged (Harness.Bench.json_of_point point)
-          && not (contains (Harness.Bench.json_of_point point) "\"rep\""));
-        check_bool "other scheme carried through" true
-          (contains merged (pre_batch "abcdef0" "lfrc"));
-        check_bool "other rev carried through" true
-          (contains merged (with_rep "1234567" "wfrc")));
+    tc "git_rev: symbolic HEAD via a loose ref" (fun () ->
+        with_checkout
+          [
+            (".git/HEAD", "ref: refs/heads/main\n");
+            (".git/refs/heads/main", sha_main ^ "\n");
+          ]
+        @@ fun () -> check_string "rev" "0123456" (Harness.Bench.git_rev ()));
+    tc "git_rev: symbolic HEAD via packed-refs" (fun () ->
+        with_checkout
+          [
+            (".git/HEAD", "ref: refs/heads/main\n");
+            ( ".git/packed-refs",
+              "# pack-refs with: peeled fully-peeled sorted\n" ^ sha_other
+              ^ " refs/heads/other\n" ^ sha_main ^ " refs/heads/main\n" );
+          ]
+        @@ fun () -> check_string "rev" "0123456" (Harness.Bench.git_rev ()));
+    tc "git_rev: detached HEAD" (fun () ->
+        with_checkout [ (".git/HEAD", sha_other ^ "\n") ] @@ fun () ->
+        check_string "rev" "fedcba9" (Harness.Bench.git_rev ()));
+    tc "git_rev: no .git gives unknown" (fun () ->
+        with_checkout [ ("README", "no checkout here\n") ] @@ fun () ->
+        check_string "rev" "unknown" (Harness.Bench.git_rev ()));
   ]
 
 let registry_tests =
@@ -594,4 +548,4 @@ let sink_tests =
 let suite =
   hist_tests @ hist_bucket_tests @ fmt_tests @ table_tests @ report_tests
   @ sink_tests @ workload_tests @ runner_tests @ config_tests
-  @ bench_report_tests @ registry_tests
+  @ git_rev_tests @ registry_tests
