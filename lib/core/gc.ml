@@ -42,14 +42,6 @@ module Value = Shmem.Value
 module Layout = Shmem.Layout
 module Arena = Shmem.Arena
 
-(* Ablation knobs (experiments E-A2/E-A3; the defaults are the paper's
-   algorithm):
-   - [placement]: [`Paper] follows F5–F6 (pick the free-list the
-     allocator is not near); [`Own_index] always uses freeList[tid].
-   - [help_alloc]: [false] skips A11–A15 and F3's donation, degrading
-     AllocNode from wait-free to lock-free. *)
-type placement = [ `Paper | `Own_index ]
-
 (* Domain-local allocation cache for the sharded Native configuration
    (Mm_intf.sharded): the paper's 2N free-lists already play the role
    of stripes, so WFRC adopts only the cache layer. Unsynchronised:
@@ -79,8 +71,10 @@ type t = {
   (* cross-store fusion context under [Native], where arena and hot
      vector are raw word blocks — see the [fused] type above *)
   oom_scan_limit : int;
-  placement : placement;
   help_alloc : bool;
+  (* ablation knob (experiment E-A3; the default is the paper's
+     algorithm): [false] skips A11–A15 and F3's donation, degrading
+     AllocNode from wait-free to lock-free *)
   caches : tcache array option; (* per-thread caches when sharded *)
   batch : int;
   defer : Rcbuf.t option;
@@ -118,7 +112,7 @@ let counters t = t.ctr
 let config t = t.cfg
 let announcements t = t.ann
 
-let create ?(placement = `Paper) ?(help_alloc = true) (cfg : Mm_intf.config) =
+let create ?(help_alloc = true) (cfg : Mm_intf.config) =
   let backend = cfg.backend in
   let layout =
     Layout.create ~num_links:cfg.num_links ~num_data:cfg.num_data
@@ -171,7 +165,6 @@ let create ?(placement = `Paper) ?(help_alloc = true) (cfg : Mm_intf.config) =
     hot;
     fused;
     oom_scan_limit = (16 * n) + 16;
-    placement;
     help_alloc;
     caches =
       (if Mm_intf.sharded cfg then
@@ -368,11 +361,8 @@ and free_push t ~tid node =
   let n = t.n in
   let current = Hot.read t.hot hw_current in                        (* F4 *)
   let index =                                                       (* F5 *)
-    match t.placement with
-    | `Own_index -> tid (* ablation E-A2 *)
-    | `Paper ->
-        if current <= tid || current > n + tid then n + tid         (* F6 *)
-        else tid
+    if current <= tid || current > n + tid then n + tid             (* F6 *)
+    else tid
   in
   let rec push index =                                              (* F7 *)
     let head = Hot.read t.hot (hw_free index) in

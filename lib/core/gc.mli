@@ -8,17 +8,12 @@
 
 type t
 
-type placement = [ `Paper | `Own_index ]
-(** Free-list placement policy for {!create}: [`Paper] is the F5–F6
-    heuristic; [`Own_index] always uses [freeList\[tid\]] (ablation
-    E-A2). *)
-
-val create : ?placement:placement -> ?help_alloc:bool -> Mm_intf.config -> t
+val create : ?help_alloc:bool -> Mm_intf.config -> t
 (** Build the manager: arena, announcement pool, [2N] free-lists with
     every node initially chained into [freeList\[0\]] with
     [mm_ref = 1]. [help_alloc:false] disables the A11–A15/F3 helping
-    (ablation E-A3: allocation becomes merely lock-free). Defaults are
-    the paper's algorithm. *)
+    (ablation E-A3: allocation becomes merely lock-free). The default
+    is the paper's algorithm. *)
 
 val arena : t -> Shmem.Arena.t
 val counters : t -> Atomics.Counters.t
@@ -29,12 +24,6 @@ val alloc : t -> tid:int -> Shmem.Value.ptr
 (** [AllocNode] (A1–A18): returns a node with one reference
     ([mm_ref = 2]). Raises {!Mm_intf.Out_of_memory} after the bounded
     retry budget of the paper's footnote 4. *)
-
-val free_node : t -> tid:int -> Shmem.Value.ptr -> unit
-(** [FreeNode] (F1–F10). {b Internal}: per §3.2 user code must never
-    call this directly — reclamation happens through {!release}.
-    Exposed for the free-list experiments (E3) and tests. The node
-    must be exclusively owned with [mm_ref = 1]. *)
 
 val deref : t -> tid:int -> Shmem.Value.addr -> int
 (** [DeRefLink] (D1–D10): read the link and acquire a reference on the

@@ -7,7 +7,7 @@
 type params = { quick : bool }
 
 type spec = {
-  id : string;    (* registry key, lowercase: "e1", "a2", … *)
+  id : string;    (* registry key, lowercase: "e1", "a1", … *)
   descr : string; (* one-liner for `wfrc_bench list` / --help *)
   run : params -> Report.t;
 }

@@ -1,6 +1,5 @@
 (* Contention family: E2 (bounded de-reference steps under an
-   adversarial updater) and E3 (the wait-free free-list vs the single
-   Treiber free-list). *)
+   adversarial updater). *)
 
 module Mm = Mm_intf
 module Value = Shmem.Value
@@ -85,108 +84,10 @@ let e2 ?(schemes = [ "wfrc"; "lfrc"; "lockrc" ]) ?(budgets = [ 0; 4; 16; 64 ])
       ]
     rows
 
-(* ------------------------------------------------------------------ *)
-(* E3: the wait-free free-list vs the single Treiber free-list.       *)
-(* ------------------------------------------------------------------ *)
-
-let e3 ?(schemes = [ "wfrc"; "lfrc"; "lockrc" ])
-    ?(threads_list = [ 1; 2; 4; 8 ]) ?(ops = 60_000) ?(capacity = 1 lsl 13)
-    ?(max_burst = 8) ?(seed = 11_000) () =
-  let spine = Spine.create () in
-  let rows = ref [] in
-  List.iter
-    (fun scheme ->
-      List.iter
-        (fun threads ->
-          let cfg =
-            list_layout ~backend:Atomics.Backend.Native ~threads ~capacity
-          in
-          let mm = Registry.instantiate scheme cfg in
-          let counts = Workload.split_ops ~threads ~ops in
-          let bursts =
-            Workload.per_thread ~threads ~seed (fun rng -> rng)
-            |> Array.mapi (fun tid rng ->
-                   Workload.churn_bursts ~rng ~n:counts.(tid) ~max_burst)
-          in
-          let row_spine = Spine.create () in
-          let result =
-            Spine.wrap row_spine mm (fun () ->
-                Runner.run ~threads (fun ~tid ->
-                    let held = Array.make max_burst Value.null in
-                    Array.iter
-                      (fun burst ->
-                        let got = ref 0 in
-                        (try
-                           for i = 0 to burst - 1 do
-                             held.(i) <- Mm.alloc mm ~tid;
-                             incr got
-                           done
-                         with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ());
-                        for i = 0 to !got - 1 do
-                          Mm.release mm ~tid held.(i)
-                        done)
-                      bursts.(tid)))
-          in
-          let allocs = Spine.total row_spine Alloc in
-          let per1k ev =
-            if allocs = 0 then 0.0
-            else
-              1000.0
-              *. float_of_int (Spine.total row_spine ev)
-              /. float_of_int allocs
-          in
-          Spine.merge_into spine row_spine;
-          let tput = Runner.throughput ~ops:allocs result in
-          rows :=
-            [
-              Report.Str scheme;
-              Report.Int threads;
-              Report.Ops tput;
-              Report.Float (per1k Alloc_retry);
-              Report.Float (per1k Free_retry);
-              Report.Float (per1k Alloc_helped);
-              Report.Float (per1k Free_gave_help);
-            ]
-            :: !rows)
-        threads_list)
-    schemes;
-  Report.make ~id:"E3" ~title:"alloc/free churn: throughput and retry/help rates"
-    ~cols:
-      [
-        Report.dim "scheme";
-        Report.dim "threads";
-        Report.measure ~unit_:"ops/s" "allocs/s";
-        Report.measure ~unit_:"per_1k_allocs" "aretry/1k";
-        Report.measure ~unit_:"per_1k_allocs" "fretry/1k";
-        Report.measure ~unit_:"per_1k_allocs" "helped/1k";
-        Report.measure ~unit_:"per_1k_allocs" "donated/1k";
-      ]
-    ~counters:(Spine.totals spine)
-    ~meta:
-      (Report.meta ~seed ~backend:Atomics.Backend.Native
-         ~params:
-           [
-             ("ops", string_of_int ops);
-             ("capacity", string_of_int capacity);
-             ("max_burst", string_of_int max_burst);
-           ]
-         ())
-    ~notes:
-      [
-        "wfrc splits traffic over 2N free-lists and helps round-robin \
-         (§3.1); lfrc contends on one stamped Treiber head";
-      ]
-    (List.rev !rows)
-
 let specs =
   [
     Exp.spec ~id:"e2"
       ~descr:"bounded DeRefLink steps vs adversary budget (Lemmas 6-10)"
       (fun { Exp.quick } ->
         if quick then e2 ~budgets:[ 0; 4; 16 ] ~seeds:8 () else e2 ());
-    Exp.spec ~id:"e3"
-      ~descr:"wait-free free-list vs Treiber free-list churn (§3.1)"
-      (fun { Exp.quick } ->
-        if quick then e3 ~threads_list:[ 1; 2 ] ~ops:8_000 ~capacity:1024 ()
-        else e3 ());
   ]

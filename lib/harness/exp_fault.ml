@@ -1,6 +1,6 @@
-(* Fault-injection family: E12 (bounded loss under crashes) and E13
-   (stall storm) — the auditor-backed quantification of what E10 only
-   classified. *)
+(* Fault-injection family: E12 (bounded loss under crashes, with the
+   completed/oom/stalled tally of which schemes a crashed peer can
+   block) and E13 (stall storm). *)
 
 module Mm = Mm_intf
 module Rng = Sched.Rng

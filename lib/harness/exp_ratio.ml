@@ -1,123 +1,9 @@
-(* Crash-tolerance classification and the ablation family: E10 (the
-   non-blocking hierarchy, demonstrated), A1 (deref step bound vs N),
-   A2 (FreeNode placement heuristic), A3 (allocation helping on/off). *)
+(* The ablation family: A1 (deref step bound vs N) and A3 (allocation
+   helping on/off). *)
 
 module Mm = Mm_intf
-module Rng = Sched.Rng
 module Value = Shmem.Value
 open Exp_support
-
-(* ------------------------------------------------------------------ *)
-(* E10: crash tolerance — the non-blocking hierarchy, demonstrated.   *)
-(* A third thread crashes (is never scheduled again) at a random      *)
-(* point; two workers must still finish their operations.             *)
-(*   wait-free / lock-free schemes: workers always complete;          *)
-(*   EBR: workers complete ops but allocation starves (the crashed    *)
-(*        thread pins the epoch) -> "degraded";                       *)
-(*   lockrc: the crash can happen inside the critical section ->      *)
-(*        workers spin forever -> "stalled".                          *)
-(* ------------------------------------------------------------------ *)
-
-let e10 ?(schemes = Registry.names) ?(runs = 40) ?(ops = 20) ?(seed = 41_000)
-    () =
-  let spine = Spine.create () in
-  let rows =
-    List.map
-      (fun scheme ->
-        let completed = ref 0 and degraded = ref 0 and stalled = ref 0 in
-        for r = 0 to runs - 1 do
-          let cfg =
-            Mm.config ~threads:3 ~capacity:24 ~num_links:1 ~num_data:1
-              ~num_roots:1 ()
-          in
-          let mm = Registry.instantiate scheme cfg in
-          Spine.wrap spine mm @@ fun () ->
-          let arena = Mm.arena mm in
-          let root = Shmem.Arena.root_addr arena 0 in
-          let a = Mm.alloc mm ~tid:0 in
-          Mm.store_link mm ~tid:0 root a;
-          Mm.release mm ~tid:0 a;
-          let oom_seen = ref false in
-          let one_op mm ~tid =
-            Mm.enter_op mm ~tid;
-            (match Mm.alloc mm ~tid with
-            | b ->
-                let old = Mm.deref mm ~tid root in
-                let ok = Mm.cas_link mm ~tid root ~old ~nw:b in
-                if not (Value.is_null old) then begin
-                  Mm.release mm ~tid old;
-                  if ok then Mm.terminate mm ~tid old
-                end;
-                Mm.release mm ~tid b
-            | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> oom_seen := true);
-            Mm.exit_op mm ~tid
-          in
-          let body tid =
-            if tid = 2 then
-              (* the future crash victim churns forever *)
-              while true do
-                one_op mm ~tid
-              done
-            else
-              for _ = 1 to ops do
-                one_op mm ~tid;
-                Mm.enter_op mm ~tid;
-                let p = Mm.deref mm ~tid root in
-                if not (Value.is_null p) then Mm.release mm ~tid p;
-                Mm.exit_op mm ~tid
-              done
-          in
-          let rng = Rng.create (seed + r) in
-          let crash_at = 20 + Rng.int rng 150 in
-          let policy =
-            Sched.Policy.crashed ~dead:[ 2 ] ~after:crash_at
-              (Sched.Policy.random ~seed:(seed + (r * 7)))
-          in
-          match
-            Sched.Engine.run ~max_steps:300_000 ~quorum:[ 0; 1 ] ~threads:3
-              ~policy body
-          with
-          | _ -> if !oom_seen then incr degraded else incr completed
-          | exception Sched.Engine.Out_of_steps -> incr stalled
-        done;
-        [
-          Report.Str scheme;
-          Report.Int !completed;
-          Report.Int !degraded;
-          Report.Int !stalled;
-        ])
-      schemes
-  in
-  Report.make ~id:"E10"
-    ~title:
-      (Printf.sprintf
-         "crash tolerance: a peer crashes mid-operation; do %d-op workers \
-          finish? (%d runs)"
-         ops runs)
-    ~cols:
-      [
-        Report.dim "scheme";
-        Report.measure ~unit_:"runs" "completed";
-        Report.measure ~unit_:"runs" "degraded(OOM)";
-        Report.measure ~unit_:"runs" "stalled";
-      ]
-    ~counters:(Spine.totals spine)
-    ~meta:
-      (Report.meta ~seed
-         ~params:
-           [ ("runs", string_of_int runs); ("ops", string_of_int ops) ]
-         ())
-    ~notes:
-      [
-        "non-blocking schemes complete regardless of where the peer \
-         dies (for wfrc even a helper crashed inside H4..H8 only \
-         retires one announcement slot — the pool has N of them)";
-        "ebr: the crashed thread pins the epoch, so reclamation stops \
-         and allocation starves";
-        "lockrc: a crash inside the critical section stalls everyone — \
-         the §1 argument against mutual exclusion";
-      ]
-    rows
 
 (* ------------------------------------------------------------------ *)
 (* Ablations.                                                         *)
@@ -184,56 +70,6 @@ let a1 ?(threads_list = [ 2; 4; 8; 16 ]) ?(seeds = 15) ?(seed = 29_000) () =
       [ "the wait-free bound is O(N) in the thread count, by design (D1/H1)" ]
     rows
 
-let a2 ?(threads_list = [ 2; 4; 8 ]) ?(ops = 40_000) ?(capacity = 4096)
-    ?(seed = 31_000) () =
-  let spine = Spine.create () in
-  let rows = ref [] in
-  List.iter
-    (fun threads ->
-      List.iter
-        (fun (label, placement) ->
-          let cfg =
-            list_layout ~backend:Atomics.Backend.Native ~threads ~capacity
-          in
-          let gc = Wfrc.Gc.create ~placement cfg in
-          let tput, ar, fr =
-            Spine.bracket spine (Wfrc.Gc.counters gc) (fun () ->
-                churn_gc gc ~threads ~ops ~max_burst:8 ~seed)
-          in
-          rows :=
-            [
-              Report.Int threads;
-              Report.Str label;
-              Report.Ops tput;
-              Report.Float ar;
-              Report.Float fr;
-            ]
-            :: !rows)
-        [ ("paper(F5-F6)", `Paper); ("own-index", `Own_index) ])
-    threads_list;
-  Report.make ~id:"E-A2"
-    ~title:"FreeNode placement heuristic ablation (alloc/free churn)"
-    ~cols:
-      [
-        Report.dim "threads";
-        Report.dim "placement";
-        Report.measure ~unit_:"ops/s" "allocs/s";
-        Report.measure ~unit_:"per_1k_allocs" "aretry/1k";
-        Report.measure ~unit_:"per_1k_allocs" "fretry/1k";
-      ]
-    ~counters:(Spine.totals spine)
-    ~meta:
-      (Report.meta ~seed ~backend:Atomics.Backend.Native
-         ~params:
-           [ ("ops", string_of_int ops); ("capacity", string_of_int capacity) ]
-         ())
-    ~notes:
-      [
-        "F5-F6 steers frees away from the list allocators are hitting \
-         (Lemma 10's conflict-avoidance argument)";
-      ]
-    (List.rev !rows)
-
 let a3 ?(threads_list = [ 2; 4; 8 ]) ?(ops = 40_000) ?(capacity = 4096)
     ?(seed = 37_000) () =
   let spine = Spine.create () in
@@ -246,20 +82,26 @@ let a3 ?(threads_list = [ 2; 4; 8 ]) ?(ops = 40_000) ?(capacity = 4096)
             list_layout ~backend:Atomics.Backend.Native ~threads ~capacity
           in
           let gc = Wfrc.Gc.create ~help_alloc cfg in
-          let tput, ar, fr =
-            Spine.bracket spine (Wfrc.Gc.counters gc) (fun () ->
-                churn_gc gc ~threads ~ops ~max_burst:8 ~seed)
-          in
           let ctr = Wfrc.Gc.counters gc in
-          let helped = Atomics.Counters.total ctr Alloc_helped in
+          let result =
+            Spine.bracket spine ctr (fun () ->
+                churn ~alloc:(Wfrc.Gc.alloc gc) ~release:(Wfrc.Gc.release gc)
+                  ~threads ~ops ~max_burst:8 ~seed)
+          in
+          let total = Atomics.Counters.total ctr in
+          let allocs = total Alloc in
+          let per1k ev =
+            if allocs = 0 then 0.0
+            else 1000.0 *. float_of_int (total ev) /. float_of_int allocs
+          in
           rows :=
             [
               Report.Int threads;
               Report.Str label;
-              Report.Ops tput;
-              Report.Float ar;
-              Report.Float fr;
-              Report.Int helped;
+              Report.Ops (Runner.throughput ~ops:allocs result);
+              Report.Float (per1k Alloc_retry);
+              Report.Float (per1k Free_retry);
+              Report.Int (total Alloc_helped);
             ]
             :: !rows)
         [ ("help-on(wait-free)", true); ("help-off(lock-free)", false) ])
@@ -291,16 +133,9 @@ let a3 ?(threads_list = [ 2; 4; 8 ]) ?(ops = 40_000) ?(capacity = 4096)
 
 let specs =
   [
-    Exp.spec ~id:"e10"
-      ~descr:"crash tolerance: blocking vs non-blocking (§1)"
-      (fun { Exp.quick } -> if quick then e10 ~runs:12 ~ops:10 () else e10 ());
     Exp.spec ~id:"a1" ~descr:"ablation: deref step bound vs thread count"
       (fun { Exp.quick } ->
         if quick then a1 ~threads_list:[ 2; 4 ] ~seeds:5 () else a1 ());
-    Exp.spec ~id:"a2" ~descr:"ablation: FreeNode placement heuristic (F5-F6)"
-      (fun { Exp.quick } ->
-        if quick then a2 ~threads_list:[ 2 ] ~ops:8_000 ~capacity:1024 ()
-        else a2 ());
     Exp.spec ~id:"a3" ~descr:"ablation: allocation helping on/off (A11-A15)"
       (fun { Exp.quick } ->
         if quick then a3 ~threads_list:[ 2 ] ~ops:8_000 ~capacity:1024 ()

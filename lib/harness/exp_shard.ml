@@ -36,31 +36,7 @@
    counts well clear of noise. *)
 
 module Mm = Mm_intf
-module Value = Shmem.Value
 open Exp_support
-
-let churn mm ~threads ~ops ~max_burst ~seed =
-  let counts = Workload.split_ops ~threads ~ops in
-  let bursts =
-    Workload.per_thread ~threads ~seed (fun rng -> rng)
-    |> Array.mapi (fun tid rng ->
-           Workload.churn_bursts ~rng ~n:counts.(tid) ~max_burst)
-  in
-  Runner.run ~threads (fun ~tid ->
-      let held = Array.make max_burst Value.null in
-      Array.iter
-        (fun burst ->
-          let got = ref 0 in
-          (try
-             for i = 0 to burst - 1 do
-               held.(i) <- Mm.alloc mm ~tid;
-               incr got
-             done
-           with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ());
-          for i = 0 to !got - 1 do
-            Mm.release mm ~tid held.(i)
-          done)
-        bursts.(tid))
 
 let e14 ?(schemes = [ "lfrc"; "wfrc" ]) ?(shards_list = [ 1; 2; 4 ])
     ?(threads_list = [ 2; 4 ]) ?(ops = 2_400_000) ?(capacity = 1 lsl 13)
@@ -84,7 +60,8 @@ let e14 ?(schemes = [ "lfrc"; "wfrc" ]) ?(shards_list = [ 1; 2; 4 ])
               let row_spine = Spine.create () in
               let result =
                 Spine.wrap row_spine mm (fun () ->
-                    churn mm ~threads ~ops ~max_burst ~seed)
+                    churn ~alloc:(Mm.alloc mm) ~release:(Mm.release mm)
+                      ~threads ~ops ~max_burst ~seed)
               in
               let allocs = Spine.total row_spine Alloc in
               Spine.merge_into spine row_spine;

@@ -1,6 +1,5 @@
-(* Step/latency family: E4 (helping-rate accounting for the wait-free
-   scheme) and E5 (per-operation latency distribution — the real-time
-   argument). *)
+(* Step family: E4 (helping-rate accounting for the wait-free
+   scheme). *)
 
 module Mm = Mm_intf
 module Rng = Sched.Rng
@@ -108,88 +107,10 @@ let e4 ?(threads_list = [ 2; 4; 8 ]) ?(ops = 24) ?(runs = 80)
       ]
     rows
 
-(* ------------------------------------------------------------------ *)
-(* E5: per-operation latency distribution (the real-time argument).   *)
-(* ------------------------------------------------------------------ *)
-
-let e5 ?(schemes = Registry.rc_names) ?(threads = 4) ?(ops = 40_000)
-    ?(capacity = 1 lsl 14) ?(key_range = 1 lsl 16) ?(seed = 17_000) () =
-  let spine = Spine.create () in
-  let rows =
-    List.map
-      (fun scheme ->
-        let mm, pq, streams, _per_thread =
-          pq_setup ~scheme ~threads ~ops ~capacity ~key_range ~seed
-        in
-        let hists = Array.init threads (fun _ -> Metrics.Hist.create ()) in
-        Spine.wrap spine mm (fun () ->
-            ignore
-              (Runner.run ~threads (fun ~tid ->
-                   let h = hists.(tid) in
-                   Array.iter
-                     (fun op ->
-                       let t0 = Runner.now_ns () in
-                       (match op with
-                       | Workload.Produce k -> (
-                           try Structures.Pqueue.insert pq ~tid (k + 1) tid
-                           with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ())
-                       | Workload.Consume ->
-                           ignore (Structures.Pqueue.delete_min pq ~tid));
-                       Metrics.Hist.add h (Runner.now_ns () - t0))
-                     streams.(tid))));
-        let h = Metrics.Hist.create () in
-        Array.iter (fun h' -> Metrics.Hist.merge_into h h') hists;
-        [
-          Report.Str scheme;
-          Report.Ns (Metrics.Hist.percentile h 0.50);
-          Report.Ns (Metrics.Hist.percentile h 0.99);
-          Report.Ns (Metrics.Hist.percentile h 0.999);
-          Report.Ns (Metrics.Hist.max_value h);
-        ])
-      schemes
-  in
-  Report.make ~id:"E5"
-    ~title:
-      (Printf.sprintf
-         "priority-queue per-op latency at %d threads (p50/p99/p99.9/max)"
-         threads)
-    ~cols:
-      [
-        Report.dim "scheme";
-        Report.measure ~unit_:"ns" "p50";
-        Report.measure ~unit_:"ns" "p99";
-        Report.measure ~unit_:"ns" "p99.9";
-        Report.measure ~unit_:"ns" "max";
-      ]
-    ~counters:(Spine.totals spine)
-    ~meta:
-      (Report.meta ~seed ~backend:Atomics.Backend.Native
-         ~params:
-           [
-             ("threads", string_of_int threads);
-             ("ops", string_of_int ops);
-             ("capacity", string_of_int capacity);
-             ("key_range", string_of_int key_range);
-           ]
-         ())
-    ~notes:
-      [
-        "paper §5: the wait-free scheme's strength is the execution-time \
-         guarantee (tail), not the average";
-        "on one preemptive core the max column is dominated by \
-         time-slice effects; lockrc additionally convoys behind a \
-         preempted lock holder";
-      ]
-    rows
-
 let specs =
   [
     Exp.spec ~id:"e4" ~descr:"WFRC helping-rate accounting (§3)"
       (fun { Exp.quick } ->
         if quick then e4 ~threads_list:[ 2; 4 ] ~ops:12 ~runs:25 ()
         else e4 ());
-    Exp.spec ~id:"e5"
-      ~descr:"per-op latency tails (the real-time argument, §5)"
-      (fun { Exp.quick } ->
-        if quick then e5 ~threads:2 ~ops:6_000 ~capacity:2048 () else e5 ());
   ]

@@ -93,7 +93,7 @@ let pq_worker pq ~tid ops =
       | Workload.Consume -> ignore (Structures.Pqueue.delete_min pq ~tid))
     ops
 
-(* The E1/E5 bench bed: a prefilled skiplist priority queue plus
+(* The E1 bench bed: a prefilled skiplist priority queue plus
    per-thread 50/50 operation streams. *)
 let pq_setup ~scheme ~threads ~ops ~capacity ~key_range ~seed =
   let cfg = pq_layout ~backend:Atomics.Backend.Native ~threads ~capacity in
@@ -151,37 +151,29 @@ let drain_survivors mm ~survivors =
         | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ())
       survivors
 
-(* Churn throughput/retry for a Gc variant — shared by the A2/A3
-   ablations. *)
-let churn_gc gc ~threads ~ops ~max_burst ~seed =
+(* The burst-churn loop (E14, A3): each thread allocates bursts of up
+   to [max_burst] nodes, then releases them, over seeded burst sizes
+   that sum to its share of [ops]. An allocation that hits exhaustion
+   ends the burst early. *)
+let churn ~alloc ~release ~threads ~ops ~max_burst ~seed =
   let counts = Workload.split_ops ~threads ~ops in
   let bursts =
     Workload.per_thread ~threads ~seed (fun rng -> rng)
     |> Array.mapi (fun tid rng ->
            Workload.churn_bursts ~rng ~n:counts.(tid) ~max_burst)
   in
-  let result =
-    Runner.run ~threads (fun ~tid ->
-        let held = Array.make max_burst Value.null in
-        Array.iter
-          (fun burst ->
-            let got = ref 0 in
-            (try
-               for i = 0 to burst - 1 do
-                 held.(i) <- Wfrc.Gc.alloc gc ~tid;
-                 incr got
-               done
-             with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ());
-            for i = 0 to !got - 1 do
-              Wfrc.Gc.release gc ~tid held.(i)
-            done)
-          bursts.(tid))
-  in
-  let ctr = Wfrc.Gc.counters gc in
-  let allocs = Counters.total ctr Alloc in
-  let per1k ev =
-    if allocs = 0 then 0.0
-    else
-      1000.0 *. float_of_int (Counters.total ctr ev) /. float_of_int allocs
-  in
-  (Runner.throughput ~ops:allocs result, per1k Alloc_retry, per1k Free_retry)
+  Runner.run ~threads (fun ~tid ->
+      let held = Array.make max_burst Value.null in
+      Array.iter
+        (fun burst ->
+          let got = ref 0 in
+          (try
+             for i = 0 to burst - 1 do
+               held.(i) <- alloc ~tid;
+               incr got
+             done
+           with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ());
+          for i = 0 to !got - 1 do
+            release ~tid held.(i)
+          done)
+        bursts.(tid))

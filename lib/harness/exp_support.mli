@@ -49,7 +49,7 @@ val pq_setup :
   key_range:int ->
   seed:int ->
   Mm_intf.instance * Structures.Pqueue.t * Workload.op array array * int
-(** The E1/E5 bench bed: instance, prefilled priority queue,
+(** The E1 bench bed: instance, prefilled priority queue,
     per-thread 50/50 streams, and the per-thread op count. *)
 
 val churn_op :
@@ -62,12 +62,14 @@ val drain_survivors : Mm_intf.instance -> survivors:int list -> unit
     for RC schemes one alloc/release round to retrieve parked
     donations (A4). *)
 
-val churn_gc :
-  Wfrc.Gc.t ->
+val churn :
+  alloc:(tid:int -> Shmem.Value.ptr) ->
+  release:(tid:int -> Shmem.Value.ptr -> unit) ->
   threads:int ->
   ops:int ->
   max_burst:int ->
   seed:int ->
-  float * float * float
-(** Alloc/free churn over a raw [Wfrc.Gc] variant (A2/A3):
-    [(allocs_per_sec, alloc_retries_per_1k, free_retries_per_1k)]. *)
+  Runner.result
+(** The burst-churn loop (E14, A3) on {!Runner.run}: each thread
+    allocates seeded bursts of up to [max_burst] nodes and releases
+    them, [ops] allocations in total; exhaustion ends a burst early. *)

@@ -19,14 +19,11 @@ let run ?quick id = Exp.run all ?quick id
 (* Direct entry points (full-size defaults), family by family. *)
 let e1 = Exp_throughput.e1
 let e2 = Exp_contention.e2
-let e3 = Exp_contention.e3
 let e4 = Exp_steps.e4
-let e5 = Exp_steps.e5
 let e7 = Exp_lincheck.e7
 let e7d = Exp_lincheck.e7d
 let e8 = Exp_lincheck.e8
 let e9 = Exp_throughput.e9
-let e10 = Exp_ratio.e10
 let e11 = Exp_throughput.e11
 let e12 = Exp_fault.e12
 let e13 = Exp_fault.e13
@@ -37,6 +34,5 @@ let e16 = Exp_fault.e16
 let e17 = Exp_deferred.e17
 let e18 = Exp_actor.e18
 let a1 = Exp_ratio.a1
-let a2 = Exp_ratio.a2
 let a3 = Exp_ratio.a3
 let a4 = Exp_analysis.a4

@@ -40,18 +40,6 @@ val e2 :
     under the deterministic scheduler: the wait-freedom evidence
     (Lemmas 6–10 vs the Valois unbounded retry). *)
 
-val e3 :
-  ?schemes:string list ->
-  ?threads_list:int list ->
-  ?ops:int ->
-  ?capacity:int ->
-  ?max_burst:int ->
-  ?seed:int ->
-  unit ->
-  Report.t
-(** Alloc/free churn: the wait-free [2N]-list free-list vs the single
-    Treiber list (§3.1). *)
-
 val e4 :
   ?threads_list:int list ->
   ?ops:int ->
@@ -60,17 +48,6 @@ val e4 :
   unit ->
   Report.t
 (** Helping-mechanism accounting under the deterministic scheduler. *)
-
-val e5 :
-  ?schemes:string list ->
-  ?threads:int ->
-  ?ops:int ->
-  ?capacity:int ->
-  ?key_range:int ->
-  ?seed:int ->
-  unit ->
-  Report.t
-(** Per-operation latency tails — the real-time argument of §5. *)
 
 val e7 : ?runs:int -> ?seed:int -> unit -> Report.t
 (** Linearizability sweeps (Wing–Gong check per schedule) for link
@@ -95,18 +72,6 @@ val e9 :
   Report.t
 (** Ordered-set throughput on {e all} schemes — the applicability
     boundary of §1 in numbers (contrast with E1). *)
-
-val e10 :
-  ?schemes:string list ->
-  ?runs:int ->
-  ?ops:int ->
-  ?seed:int ->
-  unit ->
-  Report.t
-(** Crash tolerance under the deterministic scheduler: a peer thread
-    is crashed mid-operation; non-blocking schemes must still let the
-    workers finish (the §1 blocking-vs-non-blocking argument, plus the
-    announcement-pool sizing under a crashed helper). *)
 
 val e11 : ?threads_list:int list -> unit -> Report.t
 (** Scheme metadata space (words) vs thread count: the O(N{^2})
@@ -238,15 +203,6 @@ val e18 :
 
 val a1 : ?threads_list:int list -> ?seeds:int -> ?seed:int -> unit -> Report.t
 (** Ablation: deref step bound vs thread count (O(N) scans). *)
-
-val a2 :
-  ?threads_list:int list ->
-  ?ops:int ->
-  ?capacity:int ->
-  ?seed:int ->
-  unit ->
-  Report.t
-(** Ablation: FreeNode placement heuristic (F5–F6) vs own-index. *)
 
 val a3 :
   ?threads_list:int list ->

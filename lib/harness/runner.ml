@@ -38,16 +38,25 @@ let run ~threads body =
   while Atomic.get ready < threads do
     Domain.cpu_relax ()
   done;
+  (* Every domain is joined even when a body raises; the first
+     exception in tid order is re-raised once all have returned. *)
+  let failed = Array.make threads None in
   let t0 = now_ns () in
   Atomic.set go true;
-  let t0' = now_ns () in
-  per_thread_ns.(0) <- 0;
   let s0 = now_ns () in
-  body ~tid:0;
-  per_thread_ns.(0) <- now_ns () - s0;
-  Array.iter Domain.join domains;
+  (try
+     body ~tid:0;
+     per_thread_ns.(0) <- now_ns () - s0
+   with e -> failed.(0) <- Some (e, Printexc.get_raw_backtrace ()));
+  Array.iteri
+    (fun i d ->
+      try Domain.join d
+      with e -> failed.(i + 1) <- Some (e, Printexc.get_raw_backtrace ()))
+    domains;
   let wall = now_ns () - t0 in
-  ignore t0';
+  Array.iter
+    (Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt))
+    failed;
   { wall_ns = wall; per_thread_ns }
 
 (* Convenience: ops/second given a total operation count. *)

@@ -14,7 +14,9 @@ val now_ns : unit -> int
 
 val run : threads:int -> (tid:int -> unit) -> result
 (** [run ~threads body] executes [body ~tid] for every tid in
-    [0..threads-1]; tid 0 runs on the calling domain. *)
+    [0..threads-1]; tid 0 runs on the calling domain. It returns only
+    after every domain has been joined; if any body raised, the
+    exception of the lowest such tid is re-raised then. *)
 
 val throughput : ops:int -> result -> float
 (** Operations per second over the wall time. *)

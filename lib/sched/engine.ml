@@ -13,8 +13,8 @@
    - a crashed fiber's state becomes [Dead] at its crash step: it is
      dropped from the runnable set *without being unwound*, so
      whatever announcements/hazards/references it held stay in place
-     (the paper's stopped-process model). Crashed tids are removed
-     from the quorum automatically.
+     (the paper's stopped-process model), and the run ends without
+     it.
    - a stalled fiber is withheld from the policy during its window;
      if every live fiber is stalled at once, the engine lets the step
      clock tick idly (no fiber runs, nothing is recorded in the
@@ -79,13 +79,9 @@ let steps_of tid =
     invalid_arg "Engine.steps_of: tid out of range"
   else s.(tid)
 
-(* [quorum] (default: everyone) is the set of fibers whose completion
-   ends the run; the rest may be abandoned mid-operation. Crashed tids
-   from [faults] are always excluded from the quorum. The pre-fault
-   way to model crashes — [Policy.crashed] plus an explicit partial
-   [quorum] — still works and is kept for the older experiments. *)
-let run ?(max_steps = 2_000_000) ?quorum ?(faults = []) ~threads ~policy body
-    =
+(* The run ends once every fiber that [faults] does not crash has
+   completed; a crashed fiber is abandoned mid-operation. *)
+let run ?(max_steps = 2_000_000) ?(faults = []) ~threads ~policy body =
   if threads <= 0 then invalid_arg "Engine.run: threads";
   if !running then invalid_arg "Engine.run: nested runs are not supported";
   Fault.validate ~threads faults;
@@ -107,24 +103,12 @@ let run ?(max_steps = 2_000_000) ?quorum ?(faults = []) ~threads ~policy body
           | _ -> None);
     }
   in
-  let quorum =
-    match quorum with
-    | None -> Array.make threads true
-    | Some tids ->
-        let q = Array.make threads false in
-        List.iter
-          (fun tid ->
-            if tid < 0 || tid >= threads then
-              invalid_arg "Engine.run: quorum tid out of range";
-            q.(tid) <- true)
-          tids;
-        q
-  in
-  List.iter (fun tid -> quorum.(tid) <- false) (Fault.crashed_tids faults);
-  let quorum_done () =
+  let awaited = Array.make threads true in
+  List.iter (fun tid -> awaited.(tid) <- false) (Fault.crashed_tids faults);
+  let all_done () =
     let all = ref true in
     for i = 0 to threads - 1 do
-      if quorum.(i) then
+      if awaited.(i) then
         match states.(i) with
         | Finished | Failed _ | Dead -> ()
         | Not_started _ | Suspended _ | Running -> all := false
@@ -183,7 +167,7 @@ let run ?(max_steps = 2_000_000) ?quorum ?(faults = []) ~threads ~policy body
      with_fault_check (fun () ->
          Atomics.Schedpoint.with_hook yield (fun () ->
              let rec loop () =
-               if quorum_done () then ()
+               if all_done () then ()
                else begin
                  if faults <> [] then mark_dead ();
                  match runnable () with

@@ -24,27 +24,23 @@ type outcome = {
 
 val run :
   ?max_steps:int ->
-  ?quorum:int list ->
   ?faults:Fault.plan ->
   threads:int ->
   policy:Policy.t ->
   (int -> unit) ->
   outcome
 (** [run ~threads ~policy body] executes [body 0 .. body (threads-1)]
-    as fibers under [policy]. Runs until every fiber in [quorum]
-    (default: all) has completed; the rest may be abandoned
-    mid-operation — the crashed-process model of the fault-tolerance
-    experiments. Raises {!Fiber_failed} if any scheduled fiber raised.
-    Not reentrant.
+    as fibers under [policy]. Runs until every fiber that [faults]
+    does not crash has completed. Raises {!Fiber_failed} if any
+    scheduled fiber raised. Not reentrant.
 
     [faults] (default: none) is interpreted by the engine: a crashed
     fiber is marked dead at its crash step without being unwound (its
-    shared-memory footprint stays in place) and is automatically
-    excluded from the quorum; a stalled fiber is withheld from the
-    policy during its window, with the step clock ticking idly if
-    every live fiber is stalled at once. The pre-fault idiom —
-    {!Policy.crashed} plus an explicit partial [quorum] — remains
-    supported. *)
+    shared-memory footprint stays in place) and abandoned
+    mid-operation — the crashed-process model of the fault-tolerance
+    experiments; a stalled fiber is withheld from the policy during
+    its window, with the step clock ticking idly if every live fiber
+    is stalled at once. *)
 
 val current_tid : unit -> int
 (** The tid of the fiber currently executing (valid inside a run). *)

@@ -99,28 +99,3 @@ let biased ~seed ~victim ~weight =
     else List.nth others (Rng.int rng (List.length others))
   in
   { name = Printf.sprintf "biased(victim=%d,weight=%d)" victim weight; next }
-
-(* Crash modelling: fibers in [dead] are never scheduled (after an
-   optional [after] step count at which they die), so they stall at
-   whatever primitive they had reached — a stopped/crashed process.
-   Use together with [Engine.run ~quorum]. Superseded by the richer
-   [Engine.run ?faults] / [Fault.plan] mechanism, but kept as the
-   policy-level variant. *)
-let crashed ~dead ?(after = 0) inner =
-  let next ~runnable ~step =
-    let alive =
-      if step < after then runnable
-      else List.filter (fun i -> not (List.mem i dead)) runnable
-    in
-    match alive with
-    | [] -> (
-        (* nothing else left; let it run out *)
-        match runnable with [] -> no_runnable "crashed" | i :: _ -> i)
-    | alive -> next inner ~runnable:alive ~step
-  in
-  {
-    name = Printf.sprintf "crashed(%s)@%d+%s"
-        (String.concat "," (List.map string_of_int dead))
-        after (name inner);
-    next;
-  }

@@ -32,9 +32,3 @@ val biased : seed:int -> victim:int -> weight:int -> t
 (** Run the victim with probability [1/(weight+1)] when others are
     runnable: interleaves victim steps with adversary steps, the
     schedule shape that forces lock-free retry loops (experiment E2). *)
-
-val crashed : dead:int list -> ?after:int -> t -> t
-(** [crashed ~dead ~after inner]: schedule with [inner], but never
-    pick a fiber in [dead] once [after] steps have elapsed — those
-    fibers stall at their current primitive forever, modelling crashed
-    processes. Use with [Engine.run ~quorum]. *)

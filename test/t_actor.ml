@@ -119,7 +119,7 @@ let crash_mid_send scheme ~seed =
   | exception Sched.Engine.Out_of_steps ->
       (* Only the lock-based scheme may block here: the victim died
          holding the lock and the survivors spin forever — the
-         paper's §1 blocking argument (E10). Non-blocking schemes
+         paper's §1 blocking argument (E12). Non-blocking schemes
          must always finish. *)
       if scheme <> "lockrc" then
         Alcotest.fail (scheme ^ ": engine ran out of steps")

@@ -236,6 +236,19 @@ let runner_tests =
         let r = { Harness.Runner.wall_ns = 1_000_000_000; per_thread_ns = [| 0 |] } in
         check_bool "1000 ops in 1s" true
           (abs_float (Harness.Runner.throughput ~ops:1000 r -. 1000.0) < 0.01));
+    tc "runner joins every domain before re-raising" (fun () ->
+        let late = Atomic.make false in
+        (match
+           Harness.Runner.run ~threads:2 (fun ~tid ->
+               if tid = 0 then failwith "tid 0"
+               else begin
+                 Unix.sleepf 0.02;
+                 Atomic.set late true
+               end)
+         with
+        | _ -> Alcotest.fail "the tid 0 exception was swallowed"
+        | exception Failure msg -> check_string "tid 0's exception" "tid 0" msg);
+        check_bool "tid 1 finished before the raise" true (Atomic.get late));
     tc "single-thread runner works" (fun () ->
         let x = ref 0 in
         ignore (Harness.Runner.run ~threads:1 (fun ~tid -> x := tid + 41));

@@ -139,7 +139,6 @@ let policy_tests =
             ("replay(exhausted)", Policy.replay [||]);
             ("others_first", Policy.others_first ~victim:0);
             ("biased", Policy.biased ~seed:1 ~victim:0 ~weight:2);
-            ("crashed", Policy.crashed ~dead:[ 0 ] (Policy.round_robin ()));
           ]);
     tc "others_first is deterministic: lowest non-victim, else victim"
       (fun () ->
@@ -353,44 +352,9 @@ let explore_tests =
 
 let base_suite = rng_tests @ policy_tests @ engine_tests @ explore_tests
 
-(* Crash modelling: quorum completion + the crashed policy. *)
+(* Crash modelling through a fault plan. *)
 let crash_tests =
   [
-    tc "quorum run finishes despite an abandoned fiber" (fun () ->
-        let done0 = ref false in
-        let o =
-          Engine.run ~quorum:[ 0 ] ~threads:2
-            ~policy:(Policy.crashed ~dead:[ 1 ] ~after:5 (Policy.random ~seed:3))
-            (fun tid ->
-              if tid = 0 then begin
-                let c = Atomics.Primitives.make 0 in
-                for _ = 1 to 10 do
-                  ignore (Atomics.Primitives.faa c 1)
-                done;
-                done0 := true
-              end
-              else
-                (* never terminates; must be abandoned *)
-                let c = Atomics.Primitives.make 0 in
-                while true do
-                  ignore (Atomics.Primitives.faa c 1)
-                done)
-        in
-        check_bool "worker finished" true !done0;
-        check_bool "victim got some steps before dying" true (o.steps.(1) <= 6));
-    tc "crashed policy never schedules the dead after the deadline" (fun () ->
-        let p = Policy.crashed ~dead:[ 1 ] ~after:3 (Policy.round_robin ()) in
-        for step = 0 to 2 do
-          ignore (Policy.next p ~runnable:[ 0; 1 ] ~step)
-        done;
-        for step = 3 to 20 do
-          check_int "only 0 after crash" 0
-            (Policy.next p ~runnable:[ 0; 1 ] ~step)
-        done);
-    tc "quorum tid out of range rejected" (fun () ->
-        fails_with (fun () ->
-            Engine.run ~quorum:[ 5 ] ~threads:2
-              ~policy:(Policy.round_robin ()) (fun _ -> ())));
     tc "wfrc survives a helper crashed inside H4..H8" (fun () ->
         (* worker 0 performs derefs; worker 1 updates (and thus helps);
            crash 1 at random points — 0 must always finish, and the
@@ -427,12 +391,11 @@ let crash_tests =
                 | exception Mm_intf.Out_of_memory | exception Mm_intf.Out_of_nodes _ -> ()
               done
           in
-          let policy =
-            Policy.crashed ~dead:[ 1 ] ~after:(10 + (s * 3))
-              (Policy.random ~seed:(777 + s))
-          in
           ignore
-            (Engine.run ~max_steps:100_000 ~quorum:[ 0 ] ~threads:2 ~policy
+            (Engine.run ~max_steps:100_000
+               ~faults:[ Sched.Fault.crash ~tid:1 ~at_step:(10 + (s * 3)) ]
+               ~threads:2
+               ~policy:(Policy.random ~seed:(777 + s))
                body);
           if not !finished then Alcotest.failf "seed %d: worker starved" s
         done);

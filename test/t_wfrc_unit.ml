@@ -336,20 +336,6 @@ let ablation_tests =
         List.iter (fun p -> Gc.release gc ~tid:0 p) ps;
         check_int "recovered" 8 (Gc.free_count gc);
         Gc.validate gc);
-    tc "own-index placement still conserves nodes" (fun () ->
-        let gc =
-          Gc.create ~placement:`Own_index
-            (Mm_intf.config ~threads:2 ~capacity:8 ~num_links:0 ~num_data:0
-               ~num_roots:0 ())
-        in
-        for tid = 0 to 1 do
-          for _ = 1 to 20 do
-            let p = Gc.alloc gc ~tid in
-            Gc.release gc ~tid p
-          done
-        done;
-        check_int "conserved" 8 (Gc.free_count gc);
-        Gc.validate gc);
   ]
 
 let prop_tests =
