@@ -622,94 +622,37 @@ let fix_ref t node fix =
 
 (* ---------------- Quiescent inspection ----------------------------- *)
 
-(* Walk every free-list chain and [annAlloc], returning the set of
-   free node handles. Only meaningful with no concurrent operations.
-   Checks chain sanity as it goes. *)
-let free_set t =
-  (* Quiescence is a flush trigger: drain every thread's rc buffer so
-     the chains below reflect the true counts (the walk expects
-     mm_ref = 1 on every free node, which pending decrements would
-     otherwise postpone). Quiescent-only, like the walk itself. *)
-  (match t.defer with
+(* Quiescence is a flush trigger: drain every thread's rc buffer so
+   a quiescent check reads the true counts (a free node carries
+   mm_ref = 1 only once the decrements parked against it have
+   landed). Quiescent-only, like the walk below. *)
+let flush_all t =
+  match t.defer with
   | Some _ ->
       for id = 0 to t.n - 1 do
         flush t ~tid:id
       done
-  | None -> ());
-  let cap = t.cfg.capacity in
-  let seen = Array.make (cap + 1) false in
-  let record ~where p ~expect_ref =
-    let h = Value.handle p in
-    if seen.(h) then
-      failwith (Printf.sprintf "Gc: node #%d reachable twice (%s)" h where);
-    seen.(h) <- true;
-    let r = Arena.read_mm_ref t.arena p in
-    if r <> expect_ref then
-      failwith
-        (Printf.sprintf "Gc: free node #%d has mm_ref=%d, expected %d (%s)" h
-           r expect_ref where)
-  in
-  for i = 0 to (2 * t.n) - 1 do
-    let where = Printf.sprintf "freeList[%d]" i in
-    let rec walk p steps =
-      if steps > cap then failwith ("Gc: cycle in " ^ where)
-      else if not (Value.is_null p) then begin
-        record ~where p ~expect_ref:1;
-        walk (Arena.read_mm_next t.arena p) (steps + 1)
-      end
-    in
-    walk (Hot.read t.hot (hw_free i)) 0
-  done;
-  for i = 0 to t.n - 1 do
-    let p = Hot.read t.hot (hw_ann t i) in
-    if not (Value.is_null p) then
-      record ~where:(Printf.sprintf "annAlloc[%d]" i) p ~expect_ref:3
-  done;
-  (match t.caches with
-  | Some caches ->
-      Array.iteri
-        (fun tid c ->
-          for i = 0 to c.clen - 1 do
-            record
-              ~where:(Printf.sprintf "cache[%d]" tid)
-              c.cslots.(i) ~expect_ref:1
-          done)
-        caches
-  | None -> ());
-  seen
+  | None -> ()
 
-let free_count t =
-  let seen = free_set t in
-  let c = ref 0 in
-  Array.iter (fun b -> if b then incr c) seen;
-  !c
-
-(* Tolerant variant of [free_set] for the post-run auditor
-   ([Mm_intf.custody]): never raises, reporting structural damage as
-   violation strings instead. AnnAlloc donations are [pending] under
-   the cell's owner (only that thread's A4 can collect them), and
-   unretracted announcement answers are [pinned] by the announcing
-   thread — both exactly what a crashed thread strands. *)
+(* The one quiescent walk: the accounting snapshot the post-run
+   auditor, [validate] and [free_count] all read. Never raises,
+   reporting structural damage as violation strings instead.
+   AnnAlloc donations are [pending] under the cell's owner (only that
+   thread's A4 can collect them), and unretracted announcement
+   answers are [pinned] by the announcing thread — both exactly what
+   a crashed thread strands. *)
 let custody t =
   let cap = t.cfg.capacity in
   let free = Array.make (cap + 1) false in
   let violations = ref [] in
-  let violation fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
+  let add s = violations := s :: !violations in
+  let violation fmt = Printf.ksprintf add fmt in
   for i = 0 to (2 * t.n) - 1 do
-    let rec walk p steps =
-      if steps > cap then violation "cycle in freeList[%d]" i
-      else if not (Value.is_null p) then begin
-        let h = Value.handle p in
-        if free.(h) then violation "node #%d on two free chains" h
-        else begin
-          free.(h) <- true;
-          walk (Arena.read_mm_next t.arena p) (steps + 1)
-        end
-      end
-    in
-    walk (Hot.read t.hot (hw_free i)) 0
+    Arena.iter_chain t.arena ~head:(Hot.read t.hot (hw_free i))
+      ~violation:(fun () -> violation "cycle in freeList[%d]" i)
+      ~f:
+        (Mm_intf.mark_free free ~violation:add
+           ~twice:(Printf.sprintf "node #%d on two free chains"))
   done;
   let pending = ref [] in
   for i = 0 to t.n - 1 do
@@ -729,10 +672,12 @@ let custody t =
       Array.iteri
         (fun tid c ->
           for i = 0 to c.clen - 1 do
-            let h = Value.handle c.cslots.(i) in
-            if free.(h) then
-              violation "cache[%d] node #%d also on a free chain" tid h
-            else free.(h) <- true
+            ignore
+              (Mm_intf.mark_free free ~violation:add
+                 ~twice:
+                   (Printf.sprintf "cache[%d] node #%d also on a free chain"
+                      tid)
+                 c.cslots.(i))
           done)
         caches
   | None -> ());
@@ -765,6 +710,10 @@ let custody t =
       deferred;
       violations = List.rev !violations;
     }
+
+let free_count t =
+  flush_all t;
+  Mm_intf.count_free (custody t)
 
 (* ---------------- Crash recovery (quiescent-survivors) ------------- *)
 
@@ -819,12 +768,7 @@ let recover t ~tid =
        [declare_dead]; survivor rows must empty too) so the
        [Rc_anomaly] fixpoint below analyses true counts — a pending
        decrement would read as crash-held surplus on a live node. *)
-    (match t.defer with
-    | Some _ ->
-        for id = 0 to t.n - 1 do
-          flush t ~tid:id
-        done
-    | None -> ());
+    flush_all t;
     (* 1. Dead announcement rows first: an un-retracted answer holds a
        reference acquired on the dead announcer's behalf (H6), which
        would read as surplus on a live node in step 2. *)
@@ -873,18 +817,23 @@ let recover t ~tid =
     { Mm_intf.adopted = !adopted; released = !released; cleared = !cleared }
   end
 
+(* The custody checks, then what a crashed thread may legally leave
+   behind and so only quiescence rules out: live announcements,
+   donations without their F3 inflation, global indices out of
+   range. *)
 let validate t =
+  flush_all t;
+  let c = custody t in
+  Mm_intf.check_custody ~arena:t.arena ~refcounted:true c;
   Ann.validate t.ann;
-  let seen = free_set t in
-  (* Allocated nodes must carry an even (unclaimed) reference count. *)
-  Arena.iter_nodes t.arena (fun p ->
-      if not seen.(Value.handle p) then begin
-        let r = Arena.read_mm_ref t.arena p in
-        if r < 0 || r land 1 = 1 then
-          failwith
-            (Printf.sprintf "Gc: allocated node #%d has bad mm_ref=%d"
-               (Value.handle p) r)
-      end);
+  List.iter
+    (fun (i, h) ->
+      let r = Arena.read_mm_ref t.arena (Value.of_handle h) in
+      if r <> 3 then
+        failwith
+          (Printf.sprintf "Gc: annAlloc[%d] node #%d has mm_ref=%d, expected 3"
+             i h r))
+    c.pending;
   let cur = Hot.read t.hot hw_current in
   if cur < 0 || cur >= 2 * t.n then
     failwith (Printf.sprintf "Gc: currentFreeList=%d out of range" cur);

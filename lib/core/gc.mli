@@ -42,24 +42,24 @@ val fix_ref : t -> Shmem.Value.ptr -> int -> Shmem.Value.ptr
 (** [FixRef]: adjust the reference count by the given amount and
     return the node. [FixRef(node, 2)] duplicates a held reference. *)
 
-val free_set : t -> bool array
-(** Quiescent: which handles are currently free (reachable from a
-    free-list head or parked in [annAlloc]); index 0 unused. Raises
-    [Failure _] on malformed chains. *)
-
-val free_count : t -> int
-
 val custody : t -> Mm_intf.custody
-(** Tolerant accounting snapshot for the auditor: free chains walked
+(** The quiescent accounting snapshot the auditor, {!validate} and
+    {!free_count} all read: free chains and domain-local caches walked
     defensively (damage reported in [violations], never raised),
     [annAlloc] donations as [pending] under the cell owner,
-    unretracted announcement answers as [pinned] by the announcer. *)
+    unretracted announcement answers as [pinned] by the announcer,
+    buffered decrements as [deferred]. Never flushes. *)
+
+val free_count : t -> int
+(** Drain every rc buffer, then {!Mm_intf.count_free} over
+    {!custody}: free nodes plus [annAlloc] donations. *)
 
 val validate : t -> unit
-(** Quiescent structural invariants: announcement pool clear, free
-    chains acyclic with [mm_ref = 1], donated nodes with [mm_ref = 3],
-    allocated nodes with even non-negative counts, global indices in
-    range. *)
+(** Drain every rc buffer, then {!Mm_intf.check_custody} over
+    {!custody} (free chains acyclic and disjoint with [mm_ref = 1],
+    allocated nodes with even non-negative counts), then the
+    quiescence residue: announcement pool clear, donated nodes with
+    [mm_ref = 3], global indices in range. *)
 
 (** {1 Crash recovery} *)
 

@@ -287,77 +287,33 @@ let terminate t ~tid p =
   pt.bags.(slot) <- Value.unmark p :: pt.bags.(slot);
   pt.bag_sizes.(slot) <- pt.bag_sizes.(slot) + 1
 
-(* Quiescent inspection. *)
-let free_set t =
-  let cap = t.cfg.capacity in
-  let seen = Array.make (cap + 1) false in
-  let record where p =
-    let h = Value.handle p in
-    if seen.(h) then failwith ("Epoch: node reachable twice (" ^ where ^ ")");
-    seen.(h) <- true
-  in
-  (match t.store with
-  | Some fs ->
-      Freestore.iter_free fs ~violation:failwith ~f:(fun p -> record "pool" p)
-  | None ->
-      let rec walk p steps =
-        if steps > cap then failwith "Epoch: cycle in free pool"
-        else if not (Value.is_null p) then begin
-          record "pool" p;
-          walk (Arena.read_mm_next t.arena p) (steps + 1)
-        end
-      in
-      walk (Value.stamped_ptr (B.read t.backend t.head)) 0);
-  Array.iter
-    (fun pt ->
-      Array.iter (List.iter (fun p -> record "bag" p)) pt.bags)
-    t.threads;
-  seen
-
-let free_count t =
-  let seen = free_set t in
-  let c = ref 0 in
-  Array.iter (fun b -> if b then incr c) seen;
-  !c
-
-(* Tolerant snapshot for the auditor. Limbo bags are [pending] under
-   their owner: only that thread's [collect] empties them, so a
-   crashed owner strands every bag generation — and worse, if it
-   crashed inside the bracket ([active] still 1) the global epoch can
-   never advance again and {e every} thread's bags jam. That unbounded
-   loss is the E12 comparison point. Nothing is [pinned] node-wise:
-   epochs protect eras, not individual nodes. *)
+(* The one quiescent walk, read by the auditor, [validate] and
+   [free_count]. Limbo bags are [pending] under their owner: only
+   that thread's [collect] empties them, so a crashed owner strands
+   every bag generation — and worse, if it crashed inside the bracket
+   ([active] still 1) the global epoch can never advance again and
+   {e every} thread's bags jam. That unbounded loss is the E12
+   comparison point. Nothing is [pinned] node-wise: epochs protect
+   eras, not individual nodes. *)
 let custody t =
   let cap = t.cfg.capacity in
   let free = Array.make (cap + 1) false in
   let violations = ref [] in
+  let violation s = violations := s :: !violations in
+  let record =
+    Mm_intf.mark_free free ~violation
+      ~twice:(Printf.sprintf "node #%d in the pool twice")
+  in
   (match t.store with
   | Some fs ->
       (* Stripe chains, return buffers and caches are all [free]
          custody for the auditor's partition. *)
-      Freestore.iter_free fs
-        ~violation:(fun s -> violations := s :: !violations)
-        ~f:(fun p ->
-          let h = Value.handle p in
-          if free.(h) then
-            violations :=
-              Printf.sprintf "node #%d in the pool twice" h :: !violations
-          else free.(h) <- true)
+      Freestore.iter_free fs ~violation ~f:(fun p -> ignore (record p))
   | None ->
-      let rec walk p steps =
-        if steps > cap then violations := "cycle in free pool" :: !violations
-        else if not (Value.is_null p) then begin
-          let h = Value.handle p in
-          if free.(h) then
-            violations :=
-              Printf.sprintf "node #%d in the pool twice" h :: !violations
-          else begin
-            free.(h) <- true;
-            walk (Arena.read_mm_next t.arena p) (steps + 1)
-          end
-        end
-      in
-      walk (Value.stamped_ptr (B.read t.backend t.head)) 0);
+      Arena.iter_chain t.arena
+        ~head:(Value.stamped_ptr (B.read t.backend t.head))
+        ~violation:(fun () -> violation "cycle in free pool")
+        ~f:record);
   let pending = ref [] in
   Array.iteri
     (fun tid pt ->
@@ -365,9 +321,7 @@ let custody t =
         (List.iter (fun p ->
              let h = Value.handle p in
              if free.(h) then
-               violations :=
-                 Printf.sprintf "bagged node #%d also in the pool" h
-                 :: !violations
+               violation (Printf.sprintf "bagged node #%d also in the pool" h)
              else pending := (tid, h) :: !pending))
         pt.bags)
     t.threads;
@@ -379,6 +333,8 @@ let custody t =
       deferred = [];
       violations = List.rev !violations;
     }
+
+let free_count t = Mm_intf.count_free (custody t)
 
 (* Crash recovery: un-jam the epoch (a thread that crashed inside the
    bracket blocks [try_advance] forever), adopt the dead threads' bag
@@ -442,8 +398,11 @@ let recover t ~tid =
     }
   end
 
+(* The custody checks, then the quiescence residue a thread crashed
+   inside its bracket may legally leave behind: a still-active
+   epoch pin. *)
 let validate t =
-  ignore (free_set t);
+  Mm_intf.check_custody ~arena:t.arena ~refcounted (custody t);
   Array.iteri
     (fun tid pt ->
       if B.read t.backend pt.active = 1 then

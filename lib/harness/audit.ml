@@ -103,14 +103,18 @@ let run ?(crashed = []) ?loss_bound (inst : Mm.instance) =
     violation "custody free array has length %d, expected %d"
       (Array.length c.Mm.free) (cap + 1);
   let free h = h >= 1 && h <= cap && c.Mm.free.(h) in
-  let pending = List.sort_uniq compare c.Mm.pending in
+  (* Pins may legally repeat (two hazard slots can protect one node);
+     custody entries may not. *)
+  let pending = List.sort compare c.Mm.pending in
   let pinned = List.sort_uniq compare c.Mm.pinned in
-  (* Custody owner per node; a node parked under two threads is
-     structural damage. *)
+  (* Custody owner per node; a node parked twice — under two threads,
+     or twice under one — is structural damage. *)
   let pending_owner = Array.make (cap + 1) (-1) in
   List.iter
     (fun (tid, h) ->
       if h < 1 || h > cap then violation "pending handle #%d out of range" h
+      else if pending_owner.(h) = tid then
+        violation "node #%d in custody of thread %d twice" h tid
       else if pending_owner.(h) >= 0 then
         violation "node #%d in custody of threads %d and %d" h
           pending_owner.(h) tid

@@ -361,76 +361,31 @@ let terminate t ~tid p =
   pt.retired_len <- pt.retired_len + 1;
   if pt.retired_len >= t.threshold then scan t ~tid
 
-(* Quiescent inspection. *)
-let free_set t =
-  let cap = t.cfg.capacity in
-  let seen = Array.make (cap + 1) false in
-  let record where p =
-    let h = Value.handle p in
-    if seen.(h) then failwith ("Hazard: node reachable twice (" ^ where ^ ")");
-    seen.(h) <- true
-  in
-  (match t.store with
-  | Some fs ->
-      Freestore.iter_free fs ~violation:failwith ~f:(fun p -> record "pool" p)
-  | None ->
-      let rec walk p steps =
-        if steps > cap then failwith "Hazard: cycle in free pool"
-        else if not (Value.is_null p) then begin
-          record "pool" p;
-          walk (Arena.read_mm_next t.arena p) (steps + 1)
-        end
-      in
-      walk (Value.stamped_ptr (B.read t.backend t.head)) 0);
-  Array.iter
-    (fun pt -> List.iter (fun p -> record "retired" p) pt.retired)
-    t.threads;
-  seen
-
-let free_count t =
-  let seen = free_set t in
-  let c = ref 0 in
-  Array.iter (fun b -> if b then incr c) seen;
-  !c
-
-(* Tolerant snapshot for the auditor. [free] covers only the pool:
-   retired nodes are [pending] under their retiring thread (a crashed
-   owner strands its whole backlog — exactly the hazard-pointer
-   failure mode the paper contrasts with); published hazard slots are
-   [pinned] (a crashed thread never clears them, blocking every
-   scanner forever). *)
+(* The one quiescent walk, read by the auditor, [validate] and
+   [free_count]. [free] covers only the pool: retired nodes are
+   [pending] under their retiring thread (a crashed owner strands its
+   whole backlog — exactly the hazard-pointer failure mode the paper
+   contrasts with); published hazard slots are [pinned] (a crashed
+   thread never clears them, blocking every scanner forever). *)
 let custody t =
   let cap = t.cfg.capacity in
   let free = Array.make (cap + 1) false in
   let violations = ref [] in
-  let record p =
-    let h = Value.handle p in
-    if free.(h) then
-      violations := Printf.sprintf "node #%d in the pool twice" h :: !violations
-    else free.(h) <- true
+  let violation s = violations := s :: !violations in
+  let record =
+    Mm_intf.mark_free free ~violation
+      ~twice:(Printf.sprintf "node #%d in the pool twice")
   in
   (match t.store with
   | Some fs ->
       (* Stripe chains, return buffers and caches are all [free]
          custody for the auditor's partition. *)
-      Freestore.iter_free fs
-        ~violation:(fun s -> violations := s :: !violations)
-        ~f:record
+      Freestore.iter_free fs ~violation ~f:(fun p -> ignore (record p))
   | None ->
-      let rec walk p steps =
-        if steps > cap then violations := "cycle in free pool" :: !violations
-        else if not (Value.is_null p) then begin
-          let h = Value.handle p in
-          if free.(h) then
-            violations :=
-              Printf.sprintf "node #%d in the pool twice" h :: !violations
-          else begin
-            free.(h) <- true;
-            walk (Arena.read_mm_next t.arena p) (steps + 1)
-          end
-        end
-      in
-      walk (Value.stamped_ptr (B.read t.backend t.head)) 0);
+      Arena.iter_chain t.arena
+        ~head:(Value.stamped_ptr (B.read t.backend t.head))
+        ~violation:(fun () -> violation "cycle in free pool")
+        ~f:record);
   let pending = ref [] and pinned = ref [] in
   Array.iteri
     (fun tid pt ->
@@ -438,9 +393,7 @@ let custody t =
         (fun p ->
           let h = Value.handle p in
           if free.(h) then
-            violations :=
-              Printf.sprintf "retired node #%d also in the pool" h
-              :: !violations
+            violation (Printf.sprintf "retired node #%d also in the pool" h)
           else pending := (tid, h) :: !pending)
         pt.retired;
       Array.iter
@@ -458,6 +411,8 @@ let custody t =
       deferred = [];
       violations = List.rev !violations;
     }
+
+let free_count t = Mm_intf.count_free (custody t)
 
 (* Crash recovery: clear the dead threads' published hazard slots (a
    crashed reader pins its targets for every scanner, forever), adopt
@@ -517,8 +472,10 @@ let recover t ~tid =
     }
   end
 
+(* The custody checks, then the quiescence residue a crashed reader
+   may legally leave behind: held hazard counts and published slots. *)
 let validate t =
-  ignore (free_set t);
+  Mm_intf.check_custody ~arena:t.arena ~refcounted (custody t);
   Array.iteri
     (fun tid pt ->
       Array.iteri

@@ -293,71 +293,30 @@ let store_link t ~tid link p =
   if not (Value.is_null old) then release t ~tid old
 let terminate _t ~tid:_ _p = ()
 
-(* Quiescent inspection. *)
-let free_set t =
-  let cap = t.cfg.capacity in
-  let seen = Array.make (cap + 1) false in
-  let record p =
-    let h = Value.handle p in
-    if seen.(h) then failwith "Lfrc: node reachable twice";
-    seen.(h) <- true;
-    let r = Arena.read_mm_ref t.arena p in
-    if r <> 1 then
-      failwith (Printf.sprintf "Lfrc: free node #%d has mm_ref=%d" h r)
-  in
-  (match t.store with
-  | Some fs -> Freestore.iter_free fs ~violation:failwith ~f:record
-  | None ->
-      let rec walk p steps =
-        if steps > cap then failwith "Lfrc: cycle in free-list"
-        else if not (Value.is_null p) then begin
-          record p;
-          walk (Arena.read_mm_next t.arena p) (steps + 1)
-        end
-      in
-      walk (Value.stamped_ptr (Hot.read t.hot hw_head)) 0);
-  seen
-
-let free_count t =
-  let seen = free_set t in
-  let c = ref 0 in
-  Array.iter (fun b -> if b then incr c) seen;
-  !c
-
-(* Tolerant snapshot for the auditor: same walk as [free_set] but
-   damage goes to [violations] instead of raising. The scheme has no
-   per-thread custody (no retired lists, no announcements). *)
+(* The one quiescent walk, read by the auditor, [validate] and
+   [free_count]: damage goes to [violations] instead of raising. The
+   scheme has no per-thread custody (no retired lists, no
+   announcements). *)
 let custody t =
   let cap = t.cfg.capacity in
   let free = Array.make (cap + 1) false in
   let violations = ref [] in
   let violation s = violations := s :: !violations in
-  let record p =
-    let h = Value.handle p in
-    if free.(h) then
-      violation (Printf.sprintf "node #%d on the free-list twice" h)
-    else free.(h) <- true
+  let record =
+    Mm_intf.mark_free free ~violation
+      ~twice:(Printf.sprintf "node #%d on the free-list twice")
   in
   (match t.store with
   | Some fs ->
       (* Stripe chains, return-buffer slots and per-thread caches are
          all allocator custody: they count as [free] so the auditor's
          node partition stays conservative with a populated store. *)
-      Freestore.iter_free fs ~violation ~f:record
+      Freestore.iter_free fs ~violation ~f:(fun p -> ignore (record p))
   | None ->
-      let rec walk p steps =
-        if steps > cap then violation "cycle in free-list"
-        else if not (Value.is_null p) then begin
-          let h = Value.handle p in
-          if free.(h) then
-            violation (Printf.sprintf "node #%d on the free-list twice" h)
-          else begin
-            free.(h) <- true;
-            walk (Arena.read_mm_next t.arena p) (steps + 1)
-          end
-        end
-      in
-      walk (Value.stamped_ptr (Hot.read t.hot hw_head)) 0);
+      Arena.iter_chain t.arena
+        ~head:(Value.stamped_ptr (Hot.read t.hot hw_head))
+        ~violation:(fun () -> violation "cycle in free-list")
+        ~f:record);
   Mm_intf.
     {
       free;
@@ -366,6 +325,8 @@ let custody t =
       deferred = [];
       violations = List.rev !violations;
     }
+
+let free_count t = Mm_intf.count_free (custody t)
 
 (* Crash recovery: the scheme has no announcement/retired custody, so
    recovery is the reference-count anomaly fixpoint (crashed derefs
@@ -402,15 +363,7 @@ let recover t ~tid =
   end
 
 let validate t =
-  let seen = free_set t in
-  Arena.iter_nodes t.arena (fun p ->
-      if not seen.(Value.handle p) then begin
-        let r = Arena.read_mm_ref t.arena p in
-        if r < 0 || r land 1 = 1 then
-          failwith
-            (Printf.sprintf "Lfrc: allocated node #%d has bad mm_ref=%d"
-               (Value.handle p) r)
-      end)
+  Mm_intf.check_custody ~arena:t.arena ~refcounted (custody t)
 
 (* Sentinels need no special handling under reference counting: the
    creator simply keeps the allocation reference forever. *)

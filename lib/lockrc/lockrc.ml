@@ -235,73 +235,29 @@ let store_link t ~tid link p =
       if not (Value.is_null old) then reclaim t ~tid (Value.unmark old))
 let terminate _t ~tid:_ _p = ()
 
-(* Quiescent inspection (same shape as the other RC schemes). *)
-let free_set t =
-  let cap = t.cfg.capacity in
-  let seen = Array.make (cap + 1) false in
-  let record p =
-    let h = Value.handle p in
-    if seen.(h) then failwith "Lockrc: node reachable twice";
-    seen.(h) <- true;
-    let r = Arena.read_mm_ref t.arena p in
-    if r <> 1 then
-      failwith (Printf.sprintf "Lockrc: free node #%d has mm_ref=%d" h r)
-  in
-  (match t.store with
-  | Some fs -> Freestore.iter_free fs ~violation:failwith ~f:record
-  | None ->
-      let rec walk p steps =
-        if steps > cap then failwith "Lockrc: cycle in free-list"
-        else if not (Value.is_null p) then begin
-          record p;
-          walk (Arena.read_mm_next t.arena p) (steps + 1)
-        end
-      in
-      walk (B.read t.backend t.free_head) 0);
-  seen
-
-let free_count t =
-  let seen = free_set t in
-  let c = ref 0 in
-  Array.iter (fun b -> if b then incr c) seen;
-  !c
-
-(* Tolerant snapshot for the auditor. A crashed thread may have died
-   holding the lock; that is a liveness disaster for survivors but not
-   custody of any node, so it surfaces as a violation string only. *)
+(* The one quiescent walk, read by the auditor, [validate] and
+   [free_count]. A crashed thread may have died holding the lock; that
+   is a liveness disaster for survivors but not custody of any node,
+   so it surfaces as a violation string only. *)
 let custody t =
   let cap = t.cfg.capacity in
   let free = Array.make (cap + 1) false in
   let violations = ref [] in
-  if B.read t.backend t.lock <> 0 then
-    violations := "lock held at quiescence" :: !violations;
+  let violation s = violations := s :: !violations in
+  if B.read t.backend t.lock <> 0 then violation "lock held at quiescence";
+  let record =
+    Mm_intf.mark_free free ~violation
+      ~twice:(Printf.sprintf "node #%d on the free-list twice")
+  in
   (match t.store with
   | Some fs ->
       (* Stripe chains, return buffers and caches are all [free]
          custody for the auditor's partition. *)
-      Freestore.iter_free fs
-        ~violation:(fun s -> violations := s :: !violations)
-        ~f:(fun p ->
-          let h = Value.handle p in
-          if free.(h) then
-            violations :=
-              Printf.sprintf "node #%d on the free-list twice" h :: !violations
-          else free.(h) <- true)
+      Freestore.iter_free fs ~violation ~f:(fun p -> ignore (record p))
   | None ->
-      let rec walk p steps =
-        if steps > cap then violations := "cycle in free-list" :: !violations
-        else if not (Value.is_null p) then begin
-          let h = Value.handle p in
-          if free.(h) then
-            violations :=
-              Printf.sprintf "node #%d on the free-list twice" h :: !violations
-          else begin
-            free.(h) <- true;
-            walk (Arena.read_mm_next t.arena p) (steps + 1)
-          end
-        end
-      in
-      walk (B.read t.backend t.free_head) 0);
+      Arena.iter_chain t.arena ~head:(B.read t.backend t.free_head)
+        ~violation:(fun () -> violation "cycle in free-list")
+        ~f:record);
   Mm_intf.
     {
       free;
@@ -310,6 +266,8 @@ let custody t =
       deferred = [];
       violations = List.rev !violations;
     }
+
+let free_count t = Mm_intf.count_free (custody t)
 
 (* Crash recovery. Finish the free a crashed holder never completed:
    clear the links (dropping their targets' shares through [reclaim]),
@@ -363,18 +321,10 @@ let recover t ~tid =
     { Mm_intf.adopted = revived + cached; released = drops; cleared = !cleared }
   end
 
+(* A held lock is already a custody violation: nothing is left for a
+   scheme-specific residue check. *)
 let validate t =
-  if B.read t.backend t.lock <> 0 then
-    failwith "Lockrc: lock held at quiescence";
-  let seen = free_set t in
-  Arena.iter_nodes t.arena (fun p ->
-      if not seen.(Value.handle p) then begin
-        let r = Arena.read_mm_ref t.arena p in
-        if r < 0 || r land 1 = 1 then
-          failwith
-            (Printf.sprintf "Lockrc: allocated node #%d has bad mm_ref=%d"
-               (Value.handle p) r)
-      end)
+  Mm_intf.check_custody ~arena:t.arena ~refcounted (custody t)
 
 (* Sentinels need no special handling under reference counting: the
    creator simply keeps the allocation reference forever. *)

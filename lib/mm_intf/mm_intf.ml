@@ -17,7 +17,8 @@
    managers ignore marks and operate on the underlying node. *)
 
 exception Out_of_memory
-(* Raised by [alloc] when the free-list is exhausted (paper fn. 4). *)
+(* Raised by [alloc] when the single free-list is exhausted (paper
+   fn. 4); the sharded store raises [Out_of_nodes] instead. *)
 
 exception Out_of_nodes of { retries : int; waits : int }
 (* Typed backpressure from the bounded-wait allocation path: the free
@@ -126,12 +127,14 @@ module Events = struct
   let installed () = !listener != no_listener
 end
 
-(* Fault-tolerant accounting snapshot for the post-run auditor
-   (Harness.Audit). Unlike [validate]/[free_count] the [custody]
-   accessor must never raise — structural damage is reported in
-   [violations] — so it can be taken after a run in which threads
-   crashed or were abandoned mid-operation and left announcements,
-   hazard slots or half-pushed free-list nodes behind. *)
+(* Fault-tolerant accounting snapshot: the one quiescent walk of a
+   scheme's allocator state. The post-run auditor (Harness.Audit)
+   reads it, and so do [validate] (through [check_custody]) and
+   [free_count] (through [count_free]). The [custody] accessor itself
+   must never raise — structural damage is reported in [violations] —
+   so it can be taken after a run in which threads crashed or were
+   abandoned mid-operation and left announcements, hazard slots or
+   half-pushed free-list nodes behind. *)
 type custody = {
   free : bool array;
       (* indexed by node handle 1..capacity (slot 0 unused): the node
@@ -155,6 +158,63 @@ type custody = {
       (* structural damage found while walking (cycles, double
          custody); empty on a healthy snapshot *)
 }
+
+(* A custody walk's step: mark [p] in [free] and answer [true]; a
+   node already marked is reported as [twice h] through [violation]
+   and answers [false], which stops an [Arena.iter_chain] walk at the
+   revisit. *)
+let mark_free free ~violation ~twice p =
+  let h = Shmem.Value.handle p in
+  if free.(h) then begin
+    violation (twice h);
+    false
+  end
+  else begin
+    free.(h) <- true;
+    true
+  end
+
+(* Nodes in allocator custody: free, or parked under a thread. *)
+let count_free c =
+  Array.fold_left (fun n b -> if b then n + 1 else n) 0 c.free
+  + List.length c.pending
+
+(* The strict reading of a [custody] snapshot shared by every scheme's
+   [validate]: raise [Failure] on the first structural violation the
+   walk reported, on a node parked twice or both free and parked, and
+   — for reference-counting schemes — on a free node that does not
+   carry the claimed count 1 or a node outside allocator custody with
+   an odd (claimed) or negative count. Whatever a crashed thread can
+   legally leave behind (published pins, a still-active epoch
+   bracket) is not a custody fault; each scheme checks its own such
+   residue after this. *)
+let check_custody ~arena ~refcounted c =
+  let module Arena = Shmem.Arena in
+  let cap = Arena.capacity arena in
+  (match c.violations with v :: _ -> failwith v | [] -> ());
+  (* A sorted handle list, not a second capacity-sized array: pending
+     entries are few, and the arenas checked can be large. *)
+  let pending = List.sort compare (List.map snd c.pending) in
+  ignore
+    (List.fold_left
+       (fun prev h ->
+         if h < 1 || h > cap then
+           failwith (Printf.sprintf "pending handle #%d out of range" h);
+         if c.free.(h) then
+           failwith (Printf.sprintf "node #%d both free and pending" h);
+         if h = prev then failwith (Printf.sprintf "node #%d pending twice" h);
+         h)
+       0 pending);
+  if refcounted then
+    Arena.iter_nodes arena (fun p ->
+        let h = Shmem.Value.handle p and r = Arena.read_mm_ref arena p in
+        if c.free.(h) then begin
+          if r <> 1 then
+            failwith (Printf.sprintf "free node #%d has mm_ref=%d" h r)
+        end
+        else if (r < 0 || r land 1 = 1) && not (List.mem h pending) then
+          failwith
+            (Printf.sprintf "allocated node #%d has bad mm_ref=%d" h r))
 
 (* What one recovery pass over the declared-dead set accomplished.
    [adopted] counts nodes moved from dead-thread custody (annAlloc
@@ -366,7 +426,15 @@ module type S = sig
 
   val alloc : t -> tid:int -> Shmem.Value.ptr
   (** The paper's [AllocNode]: a fresh node holding one reference owned
-      by the caller. Raises {!Out_of_memory} when exhausted. *)
+      by the caller. When no node can be found it raises one of two
+      exceptions, chosen by the free store the config selects:
+      - {!Out_of_memory} on the single free-list ([Sim], or [Native]
+        with [shards = 1, batch = 1]) once the scheme's bounded retry
+        budget is spent (the paper's footnote 4);
+      - {!Out_of_nodes} on the sharded [Native] store ({!sharded}),
+        once its bounded retry/park rounds and an attempt to adopt
+        declared-dead threads' caches came up empty — typed
+        backpressure the caller may back off on and retry. *)
 
   val deref : t -> tid:int -> Shmem.Value.addr -> int
   (** The paper's [DeRefLink]: read link and acquire a guaranteed-safe
@@ -414,16 +482,23 @@ module type S = sig
 
   val validate : t -> unit
   (** Quiescent invariant check (single-threaded): raises
-      [Failure _] describing the first violated invariant. *)
+      [Failure _] describing the first violated invariant —
+      {!check_custody} over {!custody}, then the scheme's own
+      quiescence residue (announcements, hazard slots, epoch
+      brackets). *)
 
   val free_count : t -> int
-  (** Quiescent count of nodes currently free (reachable by the
-      allocator). For conservation tests. *)
+  (** Quiescent count of nodes in allocator custody —
+      {!count_free} over {!custody}: free, or parked under a thread
+      (annAlloc donations, retired lists, limbo bags). For
+      conservation tests. *)
 
   val custody : t -> custody
-  (** Quiescent custody snapshot for the auditor. Never raises, even
-      when crashed threads left the scheme's metadata non-quiescent
-      (live announcements, published hazards, a held lock). *)
+  (** Quiescent custody snapshot: the scheme's one walk of its
+      allocator state, read by the auditor, {!validate} and
+      {!free_count}. Never raises, even when crashed threads left the
+      scheme's metadata non-quiescent (live announcements, published
+      hazards, a held lock). *)
 
   val declare_dead : t -> tid:int -> unit
   (** Declare thread [tid] permanently dead: it will never run another

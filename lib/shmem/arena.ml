@@ -268,6 +268,17 @@ let iter_nodes t f =
     f (Value.of_handle h)
   done
 
+(* Follow [mm_next] from [head] while [f] accepts each node (returns
+   [true]); a walk longer than [capacity] nodes is a cycle, reported
+   once through [violation]. *)
+let iter_chain t ~head ~violation ~f =
+  let rec walk p steps =
+    if steps > t.capacity then violation ()
+    else if (not (Value.is_null p)) && f p then
+      walk (read_mm_next t p) (steps + 1)
+  in
+  walk head 0
+
 let dump_node ppf t p =
   let h = Value.handle p in
   Fmt.pf ppf "node #%d: ref=%d next=%a" h (read_mm_ref t p) Value.pp_ptr

@@ -122,4 +122,18 @@ val iter_nodes : t -> (Value.ptr -> unit) -> unit
 (** Apply to every node pointer, in handle order. Not atomic; for
     quiescent checks only. *)
 
+val iter_chain :
+  t ->
+  head:Value.ptr ->
+  violation:(unit -> unit) ->
+  f:(Value.ptr -> bool) ->
+  unit
+(** [iter_chain t ~head ~violation ~f] follows the [mm_next] chain
+    from [head] (null = empty), applying [f] to each node; [f]
+    returning [false] stops the walk (a caller's duplicate check cuts
+    a revisit short). A chain longer than [capacity] nodes is a cycle:
+    [violation] is called once and the walk stops. Not atomic; for
+    quiescent checks only. This is the one [mm_next] chain walk every
+    free store's quiescent inspection goes through. *)
+
 val dump_node : Format.formatter -> t -> Value.ptr -> unit

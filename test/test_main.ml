@@ -28,6 +28,7 @@ let () =
       ("lincheck", T_lincheck.suite);
       ("actor", T_actor.suite);
       ("harness", T_harness.suite);
+      ("custody", T_custody.suite);
       ("experiments", T_experiments.suite);
       ("analysis", T_analysis.suite);
       ("lint", T_lint.suite);
