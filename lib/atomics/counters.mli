@@ -23,7 +23,7 @@ type event =
   | Alloc_gave_help  (** nodes donated to another thread (A12) *)
   | Free             (** completed frees *)
   | Free_retry       (** F7 loop iterations beyond the first *)
-  | Free_gave_help   (** frees satisfied by donating the node (F3) *)
+  | Free_gave_help   (** frees parked in the freer's own annAlloc cell *)
   | Release          (** completed [ReleaseRef]-style operations *)
   | Node_reclaimed   (** nodes actually returned to a free-list *)
   | Hp_scan          (** hazard-pointer scan passes *)

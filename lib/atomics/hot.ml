@@ -68,17 +68,8 @@ let[@inline] take t i =
   | Cells a -> if P.read a.(i) = 0 then 0 else P.swap a.(i) 0
   | Raw w -> Words.take w (i * stride)
 
-(* F1-F2 / the helpCurrent advance: read, one CAS attempt to
-   [(v + 1) mod n], return the value read. *)
-let[@inline] bump_mod t i n =
-  match t with
-  | Cells a ->
-      let cur = P.read a.(i) in
-      ignore (P.cas a.(i) ~old:cur ~nw:((cur + 1) mod n));
-      cur
-  | Raw w -> Words.bump_mod w (i * stride) n
-
-(* Raw access for cross-store fusions (F3's donate spans an arena and
-   a hot vector): the backing block and the physical word of a slot. *)
+(* Raw access for cross-store fusions (A4's take-and-fix and
+   FreeNode's own-cell park span an arena and a hot vector): the
+   backing block and the physical word of a slot. *)
 let raw t = match t with Raw w -> Some w | Cells _ -> None
 let word_of_slot i = i * stride

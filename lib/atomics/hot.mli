@@ -31,13 +31,9 @@ val take : t -> int -> int
 (** [take t i]: read slot [i]; if non-zero, exchange it with 0 and
     return the taken value, else 0. *)
 
-val bump_mod : t -> int -> int -> int
-(** [bump_mod t i n]: read slot [i], try once to CAS it to
-    [(v + 1) mod n], return the value read. *)
-
 val raw : t -> Words.t option
 (** The backing {!Words} block ([Native] only) — for fusions spanning
-    two stores (see {!Words.donate}). *)
+    two stores (see {!Words.take_fix} and {!Words.free_park}). *)
 
 val word_of_slot : int -> int
 (** Physical word offset of slot [i] inside {!raw}'s block. *)

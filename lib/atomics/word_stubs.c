@@ -136,19 +136,6 @@ CAMLprim value caml_wfrc_words_take(value vw, value vi)
   return Val_long((intnat)__atomic_exchange_n(p, 0, __ATOMIC_SEQ_CST));
 }
 
-/* The helpCurrent advance of F1-F2 / A16: read the word, try once to
- * CAS it to (value + 1) mod n, return the value read regardless. */
-CAMLprim value caml_wfrc_words_bump_mod(value vw, value vi, value vn)
-{
-  uintnat *p = Words_val(vw)->base + Long_val(vi);
-  uintnat cur = __atomic_load_n(p, __ATOMIC_SEQ_CST);
-  uintnat expected = cur;
-  (void)__atomic_compare_exchange_n(p, &expected,
-                                    (cur + 1) % (uintnat)Long_val(vn), 0,
-                                    __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST);
-  return Val_long((intnat)cur);
-}
-
 /* ReleaseRef line R3's per-link collect: load the link word, then
  * store 0. The node is exclusively owned here (R2 claimed it), so the
  * load/store pair needs no atomicity beyond the individual ops. */
@@ -208,31 +195,19 @@ CAMLprim value caml_wfrc_take_fix(value vhw, value vslot, value vaw,
   return Val_long((intnat)node);
 }
 
-/* FreeNode lines F1-F3 whole: advance helpCurrent (read + one CAS to
- * (cur + 1) mod n), then attempt the donation into annAlloc[cur] with
+/* FreeNode's own-cell hand-off whole: load the freeing thread's own
+ * annAlloc word and, only if it is empty, park the node there with
  * the donation-count correction — inflate the node's mm_ref (arena
- * block) by 2, CAS the node into the hot block's annAlloc word,
- * deflate on failure. geom = [| help_word; ann_base; slot_stride;
- * n |] (word offsets into the hot block). Returns 1 iff donated; a
- * corrupt helpCurrent (outside [0, n)) refuses defensively. */
-CAMLprim value caml_wfrc_free_donate(value vhw, value vaw, value vref,
-                                     value vnode, value vgeom)
+ * block) by 2, CAS the node into the annAlloc word, deflate on
+ * failure. Returns 1 iff parked. */
+CAMLprim value caml_wfrc_free_park(value vhw, value vslot, value vaw,
+                                   value vref, value vnode)
 {
-  uintnat *hbase = Words_val(vhw)->base;
+  uintnat *annp = Words_val(vhw)->base + Long_val(vslot);
   uintnat *refp = Words_val(vaw)->base + Long_val(vref);
-  uintnat *helpp = hbase + Long_val(Field(vgeom, 0));
-  uintnat n = (uintnat)Long_val(Field(vgeom, 3));
-  uintnat cur = __atomic_load_n(helpp, __ATOMIC_SEQ_CST);        /* F1 */
-  uintnat expected = cur;
-  uintnat *annp;
-  if (cur >= n) return Val_false;
-  (void)__atomic_compare_exchange_n(helpp, &expected, (cur + 1) % n, 0,
-                                    __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST);
-                                                                 /* F2 */
-  annp = hbase + Long_val(Field(vgeom, 1))
-         + (cur * (uintnat)Long_val(Field(vgeom, 2)));
-  expected = 0;
-  (void)__atomic_fetch_add(refp, 2, __ATOMIC_SEQ_CST);           /* F3 */
+  uintnat expected = 0;
+  if (__atomic_load_n(annp, __ATOMIC_SEQ_CST) != 0) return Val_false;
+  (void)__atomic_fetch_add(refp, 2, __ATOMIC_SEQ_CST);
   if (__atomic_compare_exchange_n(annp, &expected, (uintnat)Long_val(vnode),
                                   0, __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST))
     return Val_true;

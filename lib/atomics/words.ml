@@ -40,10 +40,6 @@ external unsafe_release_ref : raw -> int -> bool
 
 external unsafe_take : raw -> int -> int = "caml_wfrc_words_take" [@@noalloc]
 
-external unsafe_bump_mod : raw -> int -> int -> int
-  = "caml_wfrc_words_bump_mod"
-[@@noalloc]
-
 external unsafe_read_clear : raw -> int -> int = "caml_wfrc_words_read_clear"
 [@@noalloc]
 
@@ -55,8 +51,8 @@ external unsafe_take_fix : raw -> int -> raw -> int array -> int
   = "caml_wfrc_take_fix"
 [@@noalloc]
 
-external unsafe_free_donate : raw -> raw -> int -> int -> int array -> bool
-  = "caml_wfrc_free_donate"
+external unsafe_free_park : raw -> int -> raw -> int -> int -> bool
+  = "caml_wfrc_free_park"
 [@@noalloc]
 
 external unsafe_rc_flush : raw -> int array -> int -> int array -> int
@@ -106,11 +102,6 @@ let[@inline] take t i =
   check t i;
   unsafe_take t.raw i
 
-let[@inline] bump_mod t i n =
-  check t i;
-  if n < 1 then invalid_arg "Words.bump_mod";
-  unsafe_bump_mod t.raw i n
-
 let[@inline] read_clear t i =
   check t i;
   unsafe_read_clear t.raw i
@@ -124,15 +115,16 @@ let[@inline] release_collect t ~ref_addr ~links ~nl ~out =
   end;
   unsafe_release_collect t.raw ref_addr links nl out
 
-(* [geom] for the cross-store fusions is validated once at creation by
-   the manager (Gc) — the stubs also guard defensively. *)
+(* [geom] for [take_fix] is validated once at creation by the manager
+   (Gc) — the stub also guards defensively. *)
 let[@inline] take_fix t slot ~arena ~geom =
   check t slot;
   unsafe_take_fix t.raw slot arena.raw geom
 
-let[@inline] free_donate t ~arena ~ref_addr ~node ~geom =
+let[@inline] free_park t slot ~arena ~ref_addr ~node =
+  check t slot;
   check arena ref_addr;
-  unsafe_free_donate t.raw arena.raw ref_addr node geom
+  unsafe_free_park t.raw slot arena.raw ref_addr node
 
 (* Batched rc-buffer flush (R1-R2 per buffered decrement, claimed
    handles compacted to the front of [nodes]). The stub re-checks each

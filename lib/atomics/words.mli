@@ -47,11 +47,6 @@ val take : t -> int -> int
     with 0 and return the taken value, else return 0 (the paper's A4
     collect on an annAlloc word). *)
 
-val bump_mod : t -> int -> int -> int
-(** [bump_mod t i n]: load the word, try once to CAS it to
-    [(v + 1) mod n], return the loaded value regardless (the paper's
-    helpCurrent advance, F1–F2/A16). *)
-
 val read_clear : t -> int -> int
 (** [read_clear t i]: load the word, store 0, return the loaded value
     (R3's per-link collect; the caller must own the enclosing node). *)
@@ -70,15 +65,13 @@ val take_fix : t -> int -> arena:t -> geom:int array -> int
     [arena]. [geom] is [| nodes_base; node_stride |] — the arena's
     physical node geometry ([mm_ref] at word 0 of a block). *)
 
-val free_donate : t -> arena:t -> ref_addr:int -> node:int ->
-  geom:int array -> bool
-(** [free_donate t ~arena ~ref_addr ~node ~geom]: F1–F3 whole on hot
-    block [t]. Advance [helpCurrent] ({!bump_mod} semantics), then FAA
-    the node's [mm_ref] at [ref_addr] (in [arena]) by [+2], CAS [node]
-    into [annAlloc[cur]], undoing the FAA on failure — the
-    donation-count correction. True iff donated. [geom] is
-    [| help_word; ann_base; slot_stride; n |] (word offsets into
-    [t]). *)
+val free_park : t -> int -> arena:t -> ref_addr:int -> node:int -> bool
+(** [free_park t slot ~arena ~ref_addr ~node]: FreeNode's own-cell
+    hand-off whole on hot block [t]. Load the freeing thread's
+    [annAlloc] word at [slot]; only if it is empty, FAA the node's
+    [mm_ref] at [ref_addr] (in [arena]) by [+2] and CAS [node] into
+    the word, undoing the FAA on failure — the donation-count
+    correction. True iff parked. *)
 
 val rc_flush : t -> nodes:int array -> n:int -> geom:int array -> int
 (** [rc_flush t ~nodes ~n ~geom]: batched rc-buffer flush — R1–R2

@@ -12,17 +12,27 @@
    FreeNode, A18 calls ReleaseRef), so they live in one module; the
    user-facing assembly conforming to [Mm_intf.S] is in [Wfrc].
 
-   One deliberate deviation from the pseudocode, documented in
-   DESIGN.md §6: on the F3 donation path, FreeNode inflates the node's
-   reference count by 2 before the CAS into [annAlloc] (and deflates on
-   failure). Without this, a FreeNode-donated node reaches the A4
-   recipient with mm_ref = 1, and A4's FixRef(-1) would hand the user a
-   node with zero references, while the A12 path hands out mm_ref = 2.
-   The inflation makes both donation paths deliver mm_ref = 3, so A4 is
-   uniform — this matches the semantics (1) of Definition 1 and the
-   reference-count reasoning in Lemma 4, which only considers the A12
-   path. The node is exclusively owned at F3 (it was just claimed by
-   R2's CAS), so the transient inflation is unobservable.
+   Two deliberate deviations from the pseudocode, documented in
+   DESIGN.md §6.0:
+
+   - FreeNode's F1–F3 (advance [helpCurrent], donate the node to
+     [annAlloc[helpCurrent]]) become an own-cell hand-off: the freeing
+     thread parks the node in its own [annAlloc[tid]] cell when that
+     cell is empty, and its next A4 takes it back. Round-robin helping
+     stays where Lemma 9 needs it — A10 successes donating via
+     A11–A14 — so [helpCurrent] is written only by A14/A16, and churn
+     no longer moves the counter and a peer's cell between cores on
+     every alloc/free pair.
+   - On that hand-off, FreeNode inflates the node's reference count by
+     2 before the CAS into [annAlloc] (and deflates on failure).
+     Without this, a parked node reaches A4 with mm_ref = 1, and A4's
+     FixRef(-1) would hand the user a node with zero references, while
+     the A12 path hands out mm_ref = 2. The inflation makes both paths
+     deliver mm_ref = 3, so A4 is uniform — this matches the semantics
+     (1) of Definition 1 and the reference-count reasoning in Lemma 4,
+     which only considers the A12 path. The node is exclusively owned
+     at that point (it was just claimed by R2's CAS), so the transient
+     inflation is unobservable.
 
    Hot-path discipline: the operations below allocate nothing on the
    OCaml heap — the scheme's globals live on one {!Atomics.Hot}
@@ -49,13 +59,12 @@ module Arena = Shmem.Arena
 type tcache = { cslots : int array; mutable clen : int }
 
 (* Cross-store fusion context ([Native] only): the raw arena and
-   hot-vector blocks plus the geometry arrays the fused stubs need
-   ({!Atomics.Words.take_fix} / [free_donate]). *)
+   hot-vector blocks plus the node geometry the fused stubs need
+   ({!Atomics.Words.take_fix} / [free_park]). *)
 type fused = {
   aw : Words.t; (* the arena's raw block *)
   hw : Words.t; (* the hot vector's raw block *)
   node_geom : int array; (* [| nodes_base; node_stride |] *)
-  free_geom : int array; (* [| help_word; ann_base; slot_stride; n |] *)
 }
 
 type t = {
@@ -73,7 +82,8 @@ type t = {
   oom_scan_limit : int;
   help_alloc : bool;
   (* ablation knob (experiment E-A3; the default is the paper's
-     algorithm): [false] skips A11–A15 and F3's donation, degrading
+     algorithm): [false] skips A11–A15 and FreeNode's own-cell
+     hand-off, so no [annAlloc] cell is ever written, degrading
      AllocNode from wait-free to lock-free *)
   caches : tcache array option; (* per-thread caches when sharded *)
   batch : int;
@@ -88,8 +98,9 @@ type t = {
      the harness/supervisor, consulted by [recover] and the A7
      bounded-wait OOM path *)
   mutable recovering : bool;
-  (* donation (F1-F3) suppressed while a recovery pass runs, so
-     reclaimed nodes land in allocator custody, not a live annAlloc *)
+  (* FreeNode's own-cell hand-off suppressed while a recovery pass
+     runs, so reclaimed nodes land in allocator custody, not a live
+     annAlloc *)
   adopt_lock : int Atomic.t;
   (* single-adopter guard for dead-cache draining under pressure *)
   work : int array array;
@@ -139,20 +150,7 @@ let create ?(help_alloc = true) (cfg : Mm_intf.config) =
   in
   let fused =
     match (Arena.raw arena, Hot.raw hot) with
-    | Some aw, Some hw ->
-        Some
-          {
-            aw;
-            hw;
-            node_geom = Arena.node_geom arena;
-            free_geom =
-              [|
-                Hot.word_of_slot hw_help;
-                Hot.word_of_slot (2 + (2 * n));
-                Hot.word_of_slot 1;
-                n;
-              |];
-          }
+    | Some aw, Some hw -> Some { aw; hw; node_geom = Arena.node_geom arena }
     | _ -> None
   in
   {
@@ -305,45 +303,47 @@ and push_collected t ~tid ~k ~collected sp =
 and free_node t ~tid node =
   (* Pre-condition: mm_ref = 1 (claimed), as established by R2 or by
      the initial chaining. From here the node is allocator custody —
-     donation (F3), cache parking and the F4–F10 pushes only ever
-     touch its mm_ref/mm_next words — so this is the lifecycle [Free]
-     point for the reclamation oracle. *)
+     the own-cell hand-off, cache parking and the F4–F10 pushes only
+     ever touch its mm_ref/mm_next words — so this is the lifecycle
+     [Free] point for the reclamation oracle. *)
   Mm_intf.Events.emit ~tid node Mm_intf.Events.Free;
   C.incr t.ctr ~tid Free;
-  let n = t.n in
-  let donated =
+  (* The own-cell hand-off (replacing F1–F3): park the node in
+     [annAlloc[tid]] if it is empty, with the donation-count
+     correction (see module comment); this thread's next A4 takes it
+     back. *)
+  let parked =
+    t.help_alloc
+    && (not t.recovering)
+    &&
     match t.fused with
-    | Some f when t.help_alloc && not t.recovering ->
-        (* F1-F3 in one crossing, with the donation-count correction
-           (see module comment). *)
-        Words.free_donate f.hw ~arena:f.aw
+    | Some f ->
+        Words.free_park f.hw
+          (Hot.word_of_slot (hw_ann t tid))
+          ~arena:f.aw
           ~ref_addr:(Arena.mm_ref_addr t.arena node)
-          ~node ~geom:f.free_geom
-    | _ ->
-        let help_id = Hot.bump_mod t.hot hw_help n in            (* F1–F2 *)
-        (* F3 with the donation-count correction (see module
-           comment). *)
-        t.help_alloc
-        && (not t.recovering)
+          ~node
+    | None ->
+        Hot.read t.hot (hw_ann t tid) = Value.null
         && begin
              Arena.faa_mm_ref t.arena node 2;
-             if Hot.cas t.hot (hw_ann t help_id) ~old:Value.null ~nw:node
-             then true
-             else begin
-               Arena.faa_mm_ref t.arena node (-2);
-               false
-             end
+             Hot.cas t.hot (hw_ann t tid) ~old:Value.null ~nw:node
+             || begin
+                  Arena.faa_mm_ref t.arena node (-2);
+                  false
+                end
            end
   in
-  if donated then C.incr t.ctr ~tid Free_gave_help
+  if parked then C.incr t.ctr ~tid Free_gave_help
   else
     match t.caches with
     | Some caches ->
         (* Sharded config: park the claimed node (mm_ref stays 1) in
            the domain-local cache; on overflow, spill [batch] nodes
-           through the ordinary F4–F10 pushes. Donation was already
-           attempted above, so the helping channel that makes
-           AllocNode wait-free is untouched by the caching. *)
+           through the ordinary F4–F10 pushes. The own cell was
+           already tried above, and the helping channel that makes
+           AllocNode wait-free (A11–A14) is untouched by the
+           caching. *)
         let c = caches.(tid) in
         c.cslots.(c.clen) <- node;
         c.clen <- c.clen + 1;
@@ -757,8 +757,9 @@ let revive t ~tid node =
 let recover t ~tid =
   if not (Array.exists Fun.id t.dead) then Mm_intf.no_recovery
   else begin
-    (* Donation (F1-F3/A11-A12 receipts) stays suppressed for the
-       whole pass: recovered nodes must land on the free-lists or
+    (* The own-cell hand-off stays suppressed for the whole pass
+       (A11-A12 receipts only come from allocations, which a recovery
+       pass runs none of): recovered nodes must land on the free-lists or
        caches (allocator custody), not in a live thread's annAlloc
        cell where they would sit pending until its next A4. *)
     t.recovering <- true;
@@ -800,7 +801,7 @@ let recover t ~tid =
     released := !released + drops;
     (* 3. Dead threads' parked custody last — nothing above can have
        donated into a dead annAlloc cell (suppressed), so one pass
-       drains each for good. Donations carry the F3 inflation
+       drains each for good. Parked nodes carry the §6.0 inflation
        (mm_ref 3): restore the free-node claim of 1 before pushing. *)
     for id = 0 to t.n - 1 do
       if t.dead.(id) then begin
@@ -819,7 +820,7 @@ let recover t ~tid =
 
 (* The custody checks, then what a crashed thread may legally leave
    behind and so only quiescence rules out: live announcements,
-   donations without their F3 inflation, global indices out of
+   parked nodes without their §6.0 inflation, global indices out of
    range. *)
 let validate t =
   flush_all t;

@@ -11,8 +11,9 @@ type t
 val create : ?help_alloc:bool -> Mm_intf.config -> t
 (** Build the manager: arena, announcement pool, [2N] free-lists with
     every node initially chained into [freeList\[0\]] with
-    [mm_ref = 1]. [help_alloc:false] disables the A11–A15/F3 helping
-    (ablation E-A3: allocation becomes merely lock-free). The default
+    [mm_ref = 1]. [help_alloc:false] disables the A11–A15 helping and
+    FreeNode's own-cell hand-off, so no [annAlloc] cell is ever
+    written (ablation E-A3: allocation becomes merely lock-free). The default
     is the paper's algorithm. *)
 
 val arena : t -> Shmem.Arena.t

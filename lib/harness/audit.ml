@@ -181,7 +181,7 @@ let run ?(crashed = []) ?loss_bound (inst : Mm.instance) =
      thread can leave an unreachable node in any of three states an
      external observer must attribute to it rather than flag:
        odd count        crashed inside ReleaseRef/FreeNode after the
-                        R2 claim (or holding the F3 donation inflation)
+                        R2 claim (or holding the own-cell park inflation)
        positive excess  still holding references it acquired
        zero count,      crashed between the R1 decrement and the R2
        zero inbound     claim — fully released, never reclaimed

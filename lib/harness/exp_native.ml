@@ -16,7 +16,11 @@
    ([scaling_verdict]): the best row at the highest domain count must
    not fall below the best at the lowest. CI's native-perf job runs
    the full sweep on a multi-core runner and fails on
-   "scaling FAIL". *)
+   "scaling FAIL". It also fails when a legacy row at 2 or 4 domains
+   reports [aretry] above 0.1% of its [pairs]: steady churn is
+   thread-local (FreeNode parks each node in its freer's own annAlloc
+   cell and the next A4 takes it back), so A3 retries there mean a
+   cross-core hand-off is back. *)
 
 module Mm = Mm_intf
 module B = Atomics.Backend
@@ -95,6 +99,7 @@ let e15 ?(schemes = [ "wfrc" ]) ?(threads_list = [ 1; 2; 4 ])
                   Report.Int threads;
                   Report.Int shards;
                   Report.Int batch;
+                  Report.Int pairs;
                   Report.Ops rate;
                   Report.Int (Spine.total row_spine Alloc_retry);
                   Report.Int (Spine.total row_spine Park_wait);
@@ -112,6 +117,7 @@ let e15 ?(schemes = [ "wfrc" ]) ?(threads_list = [ 1; 2; 4 ])
         Report.dim "threads";
         Report.dim "shards";
         Report.dim "batch";
+        Report.measure ~unit_:"count" "pairs";
         Report.measure ~unit_:"ops/s" "pairs/s";
         Report.measure ~unit_:"count" "aretry";
         Report.measure ~unit_:"count" "park";

@@ -107,7 +107,8 @@ let a3 ?(threads_list = [ 2; 4; 8 ]) ?(ops = 40_000) ?(capacity = 4096)
         [ ("help-on(wait-free)", true); ("help-off(lock-free)", false) ])
     threads_list;
   Report.make ~id:"E-A3"
-    ~title:"allocation-helping ablation (A11-A15/F3 on vs off)"
+    ~title:
+      "allocation-helping ablation (A11-A15 + own-cell hand-off on vs off)"
     ~cols:
       [
         Report.dim "threads";

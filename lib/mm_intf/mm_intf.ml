@@ -239,7 +239,7 @@ let no_recovery = { adopted = 0; released = 0; cleared = 0 }
                         the scheme's own reclamation cascade runs;
      odd count, unreachable, no inbound
                       — crashed inside ReleaseRef/FreeNode after the
-                        R2 claim (possibly with the F3 donation
+                        R2 claim (possibly with the own-cell park
                         inflation); finish the free it never completed;
      zero count, unreachable, no inbound
                       — crashed between the R1 decrement and the R2

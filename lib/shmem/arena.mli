@@ -107,7 +107,7 @@ val release_collect : t -> Value.ptr -> out:int array -> int
 val raw : t -> Atomics.Words.t option
 (** The backing {!Atomics.Words} block ([Native] only) — for fusions
     spanning the arena and a hot vector (see
-    {!Atomics.Words.take_fix} and {!Atomics.Words.free_donate}).
+    {!Atomics.Words.take_fix} and {!Atomics.Words.free_park}).
     Address it with the {e physical} addresses from the addressing
     section above. *)
 

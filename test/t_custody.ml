@@ -58,7 +58,8 @@ let set_ref mm h v =
 
 (* Park one node in per-thread allocator custody — the scheme's
    [pending] class — and return its handle: an annAlloc donation
-   (wfrc: every sequential free donates to the helpee's empty cell),
+   (wfrc: a free parks the node in the freeing thread's own empty
+   cell),
    an hp retired list, an ebr limbo bag. [None] for schemes without
    such a class. *)
 let park_pending scheme mm =

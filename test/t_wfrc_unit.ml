@@ -9,12 +9,17 @@ module Ann = Wfrc.Ann
 module Value = Shmem.Value
 module Arena = Shmem.Arena
 
-let mk ?(threads = 2) ?(capacity = 16) ?(num_links = 2) ?(num_data = 1)
-    ?(num_roots = 2) () =
-  Gc.create
-    (Mm_intf.config ~threads ~capacity ~num_links ~num_data ~num_roots ())
+let mk ?help_alloc ?backend ?(threads = 2) ?(capacity = 16) ?(num_links = 2)
+    ?(num_data = 1) ?(num_roots = 2) () =
+  Gc.create ?help_alloc
+    (Mm_intf.config ?backend ~threads ~capacity ~num_links ~num_data
+       ~num_roots ())
 
 let refs gc p = Arena.read_mm_ref (Gc.arena gc) p
+let total gc ev = Atomics.Counters.total (Gc.counters gc) ev
+
+(* The [annAlloc] cells' contents, as (owner tid, handle). *)
+let parked gc = List.sort compare (Gc.custody gc).Mm_intf.pending
 
 let alloc_tests =
   [
@@ -81,8 +86,9 @@ let alloc_tests =
         let p = Gc.alloc gc ~tid:0 in
         let h = Value.handle p in
         Gc.release gc ~tid:0 p;
-        (* FreeNode either pushes to a free-list (mm_ref = 1) or donates
-           via F3 (mm_ref = 3, see the Figure 5 erratum in DESIGN.md) *)
+        (* FreeNode either pushes to a free-list (mm_ref = 1) or parks
+           the node in its own annAlloc cell (mm_ref = 3, see the
+           Figure 5 erratum in DESIGN.md) *)
         let r = refs gc (Value.of_handle h) in
         check_bool (Printf.sprintf "claimed (got %d)" r) true (r = 1 || r = 3));
   ]
@@ -322,6 +328,93 @@ let ann_tests =
         fails_with ~substring:"busy" (fun () -> Ann.validate ann));
   ]
 
+(* FreeNode's own-cell hand-off, on both backends: a free parks the
+   node in the freeing thread's own [annAlloc] cell when it is empty,
+   and never writes another thread's cell. *)
+let own_cell_tests backend =
+  let name s = Printf.sprintf "%s (%s)" s (Atomics.Backend.name backend) in
+  let mk = mk ~backend in
+  [
+    tc (name "free parks in the own empty cell; next alloc takes it (A4)")
+      (fun () ->
+        let gc = mk () in
+        let p = Gc.alloc gc ~tid:0 in
+        let h = Value.handle p in
+        check_bool "own cell empty" true (parked gc = []);
+        Gc.release gc ~tid:0 p;
+        check_bool "parked in annAlloc[0]" true (parked gc = [ (0, h) ]);
+        check_int "parked with the inflation" 3 (refs gc p);
+        check_int "counted" 1 (total gc Free_gave_help);
+        let helped = total gc Alloc_helped in
+        let q = Gc.alloc gc ~tid:0 in
+        check_int "same node back" h (Value.handle q);
+        check_int "one reference" 2 (refs gc q);
+        check_int "through A4" (helped + 1) (total gc Alloc_helped);
+        check_bool "cell empty again" true (parked gc = []);
+        Gc.release gc ~tid:0 q;
+        Gc.validate gc);
+    tc (name "own cell full: free pushes, no other cell written") (fun () ->
+        let gc = mk () in
+        let a = Gc.alloc gc ~tid:0 and b = Gc.alloc gc ~tid:0 in
+        Gc.release gc ~tid:0 a;
+        let before = parked gc in
+        check_bool "own cell holds a" true
+          (List.mem (0, Value.handle a) before);
+        Gc.release gc ~tid:0 b;
+        check_bool "no annAlloc cell changed" true (parked gc = before);
+        check_int "b claimed on a free list" 1 (refs gc b);
+        check_bool "b on a free chain" true
+          (Gc.custody gc).Mm_intf.free.(Value.handle b);
+        check_int "one park" 1 (total gc Free_gave_help);
+        Gc.validate gc);
+    tc (name "help_alloc:false never writes an annAlloc cell") (fun () ->
+        let gc = mk ~help_alloc:false ~capacity:8 () in
+        for round = 1 to 4 do
+          let held =
+            List.init round (fun i -> (i mod 2, Gc.alloc gc ~tid:(i mod 2)))
+          in
+          check_bool "no cell after allocs" true (parked gc = []);
+          List.iter (fun (tid, p) -> Gc.release gc ~tid p) held;
+          check_bool "no cell after frees" true (parked gc = [])
+        done;
+        check_int "no A4 hit" 0 (total gc Alloc_helped);
+        check_int "no A12 donation" 0 (total gc Alloc_gave_help);
+        check_int "no park" 0 (total gc Free_gave_help);
+        check_int "recovered" 8 (Gc.free_count gc);
+        Gc.validate gc);
+  ]
+
+(* Steady-state churn is thread-local: once each thread's first
+   allocation has gone through the free-lists (where A11-A12 may
+   donate, counted as an A15 retry), every alloc takes back the node
+   its own previous free parked, so no interleaving produces a
+   free-list CAS failure or an A3 retry. *)
+let steady_churn_tests =
+  [
+    tc "sim: 2-thread alloc/release pairs make no A3 or F7 retries"
+      (fun () ->
+        for seed = 1 to 20 do
+          let gc = mk ~num_links:0 ~num_roots:0 () in
+          for tid = 0 to 1 do
+            Gc.release gc ~tid (Gc.alloc gc ~tid)
+          done;
+          Atomics.Counters.reset (Gc.counters gc);
+          ignore
+            (Sched.Engine.run ~threads:2
+               ~policy:(Sched.Policy.random ~seed)
+               (fun tid ->
+                 for _ = 1 to 25 do
+                   Gc.release gc ~tid (Gc.alloc gc ~tid)
+                 done));
+          check_int "allocs" 50 (total gc Alloc);
+          check_int "Alloc_retry" 0 (total gc Alloc_retry);
+          check_int "Free_retry" 0 (total gc Free_retry);
+          check_int "every alloc through A4" 50 (total gc Alloc_helped);
+          check_int "every free parked" 50 (total gc Free_gave_help);
+          Gc.validate gc
+        done);
+  ]
+
 let ablation_tests =
   [
     tc "help_alloc:false still allocates correctly" (fun () ->
@@ -386,4 +479,6 @@ let prop_tests =
 
 let suite =
   alloc_tests @ deref_tests @ release_tests @ link_tests @ ann_tests
-  @ ablation_tests @ prop_tests
+  @ own_cell_tests Atomics.Backend.Sim
+  @ own_cell_tests Atomics.Backend.Native
+  @ steady_churn_tests @ ablation_tests @ prop_tests
