@@ -107,12 +107,15 @@ CAMLprim value caml_wfrc_words_swap(value vw, value vi, value vx)
 /* ---- Fused protocol fragments ------------------------------------
  *
  * Each of these performs a short fixed sequence of atomic operations
- * that the OCaml side would otherwise issue as 2-3 separate stub
- * calls. The per-word operations and their order are EXACTLY those of
- * the unfused sequence (the Sim arms still execute them
- * individually), so behaviour is identical — only the number of
- * OCaml-to-C crossings changes, which is what dominates the native
- * hot path. */
+ * that the OCaml side would otherwise issue as separate stub calls.
+ * The per-word operations and their order are EXACTLY those of the
+ * unfused sequence (the Sim arms still execute them individually), so
+ * behaviour is identical — only the number of OCaml-to-C crossings
+ * changes, which is what dominates the native hot path. One step is
+ * conditional in both arms alike: DeRefLink's D2 stores annIndex[tid]
+ * only when it differs from the chosen slot (deref_link below; the
+ * unfused Ann.set_index makes the same test), so neither arm issues
+ * the same-value store. */
 
 /* ReleaseRef lines R1-R2 on one mm_ref word: FAA(-2), then claim with
  * CAS(0 -> 1) if the count dropped to zero. Returns 1 if this caller
@@ -213,6 +216,58 @@ CAMLprim value caml_wfrc_free_park(value vhw, value vslot, value vaw,
     return Val_true;
   (void)__atomic_fetch_sub(refp, 2, __ATOMIC_SEQ_CST);
   return Val_false;
+}
+
+/* DeRefLink lines D1-D6 whole, on announcement block vann (the
+ * caller's row) and arena block varena. vctx is the caller's
+ * per-thread int array [| node; slot; idx; busy; ra; stride; n;
+ * nodes_base; node_stride |]: words 0-1 are outputs, the rest the
+ * row geometry (word offsets into vann: the annIndex word, busy and
+ * annReadAddr slot 0, the slot stride, the row length) and the arena's
+ * node geometry as in take_fix.
+ *   D1  scan the busy row for the first zero;
+ *   D2  store the slot into annIndex only if the word differs (the
+ *       caller is its only writer, so the load reads its own last
+ *       store);
+ *   D3  announce venc (the link's encoding) in the slot;
+ *   D4  read the link word vlink of the arena;
+ *   D5  FAA the target's mm_ref by +2 unless the target is null (a ref
+ *       offset outside the block skips it defensively, as in take_fix);
+ *   D6  retract the slot with a swap.
+ * Returns n1, the swapped-out word; stores the D4 node and the slot
+ * in vctx (immediates — no write barrier). When D1 finds no zero busy
+ * count, nothing is written but slot -1 and 0 is returned. */
+CAMLprim value caml_wfrc_deref_link(value vann, value varena, value vlink,
+                                    value venc, value vctx)
+{
+  uintnat *idxp = Words_val(vann)->base + Long_val(Field(vctx, 2));
+  uintnat *busy = Words_val(vann)->base + Long_val(Field(vctx, 3));
+  uintnat *ra = Words_val(vann)->base + Long_val(Field(vctx, 4));
+  intnat stride = Long_val(Field(vctx, 5)), n = Long_val(Field(vctx, 6));
+  wfrc_words *aw = Words_val(varena);
+  uintnat node, ref, n1;
+  intnat slot;
+  for (slot = 0; slot < n; slot++)                                /* D1 */
+    if (__atomic_load_n(busy + slot * stride, __ATOMIC_SEQ_CST) == 0) break;
+  if (slot == n) {
+    Field(vctx, 1) = Val_long(-1);
+    return Val_long(0);
+  }
+  if (__atomic_load_n(idxp, __ATOMIC_SEQ_CST) != (uintnat)slot)   /* D2 */
+    __atomic_store_n(idxp, (uintnat)slot, __ATOMIC_SEQ_CST);
+  __atomic_store_n(ra + slot * stride, (uintnat)Long_val(venc),   /* D3 */
+                   __ATOMIC_SEQ_CST);
+  node = __atomic_load_n(aw->base + Long_val(vlink), __ATOMIC_SEQ_CST); /* D4 */
+  if (node != 0) {                                                /* D5 */
+    ref = (uintnat)Long_val(Field(vctx, 7))
+          + (((node >> 1) - 1) * (uintnat)Long_val(Field(vctx, 8)));
+    if (ref < aw->len)
+      (void)__atomic_fetch_add(aw->base + ref, 2, __ATOMIC_SEQ_CST);
+  }
+  n1 = __atomic_exchange_n(ra + slot * stride, 0, __ATOMIC_SEQ_CST); /* D6 */
+  Field(vctx, 0) = Val_long((intnat)node);
+  Field(vctx, 1) = Val_long(slot);
+  return Val_long((intnat)n1);
 }
 
 /* Batched rc-buffer flush: ReleaseRef lines R1-R2 applied to a whole

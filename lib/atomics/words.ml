@@ -55,6 +55,10 @@ external unsafe_free_park : raw -> int -> raw -> int -> int -> bool
   = "caml_wfrc_free_park"
 [@@noalloc]
 
+external unsafe_deref_link : raw -> raw -> int -> int -> int array -> int
+  = "caml_wfrc_deref_link"
+[@@noalloc]
+
 external unsafe_rc_flush : raw -> int array -> int -> int array -> int
   = "caml_wfrc_rc_flush"
 [@@noalloc]
@@ -125,6 +129,22 @@ let[@inline] free_park t slot ~arena ~ref_addr ~node =
   check t slot;
   check arena ref_addr;
   unsafe_free_park t.raw slot arena.raw ref_addr node
+
+(* [ctx] layout: [| node; slot; idx; busy; ra; stride; n; nodes_base;
+   node_stride |]. The link word and the whole announcement row are
+   checked on every call; the stub guards the computed [mm_ref] offset
+   itself, as [take_fix] does. *)
+let[@inline] deref_link t ~arena ~link ~enc ~ctx =
+  check arena link;
+  if Array.length ctx <> 9 then invalid_arg "Words.deref_link: ctx";
+  let stride = ctx.(5) and n = ctx.(6) in
+  if n < 1 || stride < 1 then invalid_arg "Words.deref_link: row";
+  check t ctx.(2);
+  check t ctx.(3);
+  check t (ctx.(3) + ((n - 1) * stride));
+  check t ctx.(4);
+  check t (ctx.(4) + ((n - 1) * stride));
+  unsafe_deref_link t.raw arena.raw link enc ctx
 
 (* Batched rc-buffer flush (R1-R2 per buffered decrement, claimed
    handles compacted to the front of [nodes]). The stub re-checks each

@@ -73,6 +73,22 @@ val free_park : t -> int -> arena:t -> ref_addr:int -> node:int -> bool
     the word, undoing the FAA on failure — the donation-count
     correction. True iff parked. *)
 
+val deref_link : t -> arena:t -> link:int -> enc:int -> ctx:int array -> int
+(** [deref_link t ~arena ~link ~enc ~ctx]: DeRefLink's D1–D6 whole on
+    the announcement block [t] and the arena block [arena]. [ctx] is
+    the caller's
+    [| node; slot; idx; busy; ra; stride; n; nodes_base; node_stride |]:
+    the first two words are outputs, then the offsets of the caller's
+    [annIndex] word and of busy and [annReadAddr] slot 0, the slot
+    stride and the row length, then the node geometry as in
+    {!take_fix}. D1 picks the first slot whose busy word is 0; D2
+    stores the slot into the index word only if the word differs; D3
+    stores [enc] into the slot; D4 reads the word at [link]; D5 FAAs
+    the read node's [mm_ref] by [+2] unless it is null; D6 swaps the
+    slot to 0. Returns the swapped-out word and leaves the node and the
+    slot in [ctx]. If every busy word is non-zero, nothing is written
+    but slot [-1], and 0 is returned. *)
+
 val rc_flush : t -> nodes:int array -> n:int -> geom:int array -> int
 (** [rc_flush t ~nodes ~n ~geom]: batched rc-buffer flush — R1–R2
     applied to each of the first [n] node handles in [nodes] (each one

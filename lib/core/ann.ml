@@ -20,8 +20,8 @@
    as arena words. Under [Native] it is one raw {!Atomics.Words}
    block — index words first, then the announcement matrix, then the
    busy matrix, every word on its own cache-line pair — which is what
-   lets {!scan_announced} sweep a whole helping pass in one C stub
-   call. *)
+   lets {!scan_announced} sweep a whole helping pass, and
+   {!deref_fused} run a whole D1–D6, in one C stub call. *)
 
 module P = Atomics.Primitives
 module B = Atomics.Backend
@@ -33,6 +33,9 @@ type store =
       read_addr : P.cell array array; (* annReadAddr; 0 = ⊥ *)
       index : P.cell array; (* annIndex *)
       busy : P.cell array array; (* annBusy *)
+      last_index : int array;
+          (* per-thread shadow of annIndex[tid]: the value its only
+             writer stored last, read by D2 without a scheduling point *)
     }
   | Raw of { w : W.t; geom : int array }
 
@@ -66,6 +69,7 @@ let create ?(backend = B.Sim) ~threads () =
             read_addr = Array.init n (fun _ -> Array.init n mk);
             index = Array.init n mk;
             busy = Array.init n (fun _ -> Array.init n mk);
+            last_index = Array.make n 0;
           }
     | B.Native ->
         let w = W.make ((n + (2 * n * n)) * line) in
@@ -76,30 +80,40 @@ let create ?(backend = B.Sim) ~threads () =
 
 let threads t = t.n
 
+let read_busy t ~id ~slot =
+  match t.store with
+  | Cells c -> P.read c.busy.(id).(slot)
+  | Raw r -> W.get r.w (busy_w t id slot)
+
+let no_free_slot () =
+  failwith "Ann.choose_slot: no free slot — busy-count invariant broken"
+
 (* D1: find a slot with busy = 0. The scan is bounded: at most [n-1]
    helpers can hold a busy claim on this row at any time, and no new
    claim can be acquired while the row has no live announcement, so at
    least one slot reads 0 within one pass (see the Lemma 9/10-style
    argument in DESIGN.md). *)
 let choose_slot t ~tid =
-  let busy_at i =
-    match t.store with
-    | Cells c -> P.read c.busy.(tid).(i)
-    | Raw r -> W.get r.w (busy_w t tid i)
-  in
   let rec scan i =
-    if i >= t.n then
-      failwith "Ann.choose_slot: no free slot — busy-count invariant broken"
-    else if busy_at i = 0 then i
+    if i >= t.n then no_free_slot ()
+    else if read_busy t ~id:tid ~slot:i = 0 then i
     else scan (i + 1)
   in
   scan 0
 
-(* D2 *)
+(* D2, skipped when annIndex[tid] already holds [slot]. Thread [tid]
+   is the word's only writer, so the skipped store would not change
+   what any H2 read returns — it would only invalidate the line the
+   helpers read. [Sim] decides from the per-thread shadow (no
+   scheduling point), [Native] from a read of its own word. *)
 let set_index t ~tid slot =
   match t.store with
-  | Cells c -> P.write c.index.(tid) slot
-  | Raw r -> W.set r.w (idx_w tid) slot
+  | Cells c ->
+      if c.last_index.(tid) <> slot then begin
+        c.last_index.(tid) <- slot;
+        P.write c.index.(tid) slot
+      end
+  | Raw r -> if W.get r.w (idx_w tid) <> slot then W.set r.w (idx_w tid) slot
 
 (* D3: publish the link. *)
 let announce t ~tid ~slot link =
@@ -113,6 +127,25 @@ let retract t ~tid ~slot =
   match t.store with
   | Cells c -> P.swap c.read_addr.(tid).(slot) 0
   | Raw r -> W.swap r.w (ra_w t tid slot) 0
+
+(* D1–D6 in one stub call ([Native]): the caller's per-thread
+   context for {!Atomics.Words.deref_link}. Words 0 and 1 receive the
+   node D4 read and the slot D1 chose; under [Sim] the context holds
+   those two words only, written by the caller's unfused sequence. *)
+let deref_ctx t ~tid ~node_geom =
+  match t.store with
+  | Cells _ -> [| 0; 0 |]
+  | Raw _ ->
+      [| 0; 0; idx_w tid; busy_w t tid 0; ra_w t tid 0; line; t.n;
+         node_geom.(0); node_geom.(1) |]
+
+let[@inline] deref_fused t ~arena ~ctx link =
+  match t.store with
+  | Raw r ->
+      let n1 = W.deref_link r.w ~arena ~link ~enc:(Value.enc_link link) ~ctx in
+      if ctx.(1) < 0 then no_free_slot ();
+      n1
+  | Cells _ -> invalid_arg "Ann.deref_fused: Sim store"
 
 (* H2 *)
 let read_index t ~id =

@@ -17,12 +17,17 @@ val create : ?backend:Atomics.Backend.t -> threads:int -> unit -> t
 
 val threads : t -> int
 
+val read_busy : t -> id:int -> slot:int -> int
+(** The busy count D1 reads. *)
+
 val choose_slot : t -> tid:int -> int
 (** Line D1: index of a slot with busy count 0. Bounded single scan;
     fails only if the busy-count invariant is broken. *)
 
 val set_index : t -> tid:int -> int -> unit
-(** Line D2: publish which slot the next announcement uses. *)
+(** Line D2: publish which slot the next announcement uses. The store
+    is skipped when [annIndex[tid]] already holds the slot — [tid] is
+    the word's only writer, so no reader can tell. *)
 
 val announce : t -> tid:int -> slot:int -> Shmem.Value.addr -> unit
 (** Line D3: publish the link being de-referenced. *)
@@ -31,6 +36,21 @@ val retract : t -> tid:int -> slot:int -> int
 (** Line D6: atomically clear the slot, returning the previous word —
     the link encoding if unhelped, a helper's node-pointer answer
     otherwise. *)
+
+val deref_ctx : t -> tid:int -> node_geom:int array -> int array
+(** Thread [tid]'s D1–D6 context. Words 0 and 1 receive the node D4
+    read and the slot D1 chose. Under [Native] the rest is the row and
+    node geometry {!deref_fused} hands to
+    {!Atomics.Words.deref_link}; [node_geom] is the arena's
+    [[| nodes_base; node_stride |]]. *)
+
+val deref_fused : t -> arena:Atomics.Words.t -> ctx:int array ->
+  Shmem.Value.addr -> int
+(** [Native] only: DeRefLink's D1–D6 in one stub call — the same steps
+    as {!choose_slot}, {!set_index}, {!announce}, the link read, the
+    [+2] on the target's [mm_ref] (unless null) and {!retract}.
+    Returns D6's word and leaves the node and slot in [ctx]. Fails as
+    {!choose_slot} does when every busy count is non-zero. *)
 
 val read_index : t -> id:int -> int
 (** Line H2. *)

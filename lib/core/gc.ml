@@ -12,7 +12,7 @@
    FreeNode, A18 calls ReleaseRef), so they live in one module; the
    user-facing assembly conforming to [Mm_intf.S] is in [Wfrc].
 
-   Two deliberate deviations from the pseudocode, documented in
+   Three deliberate deviations from the pseudocode, documented in
    DESIGN.md §6.0:
 
    - FreeNode's F1–F3 (advance [helpCurrent], donate the node to
@@ -33,6 +33,10 @@
      which only considers the A12 path. The node is exclusively owned
      at that point (it was just claimed by R2's CAS), so the transient
      inflation is unobservable.
+   - DeRefLink's D2 skips its store when [annIndex[tid]] already holds
+     the slot D1 chose. The thread is the word's only writer, so every
+     H2 read returns what it would have returned; the store would
+     only invalidate the line the helpers scan.
 
    Hot-path discipline: the operations below allocate nothing on the
    OCaml heap — the scheme's globals live on one {!Atomics.Hot}
@@ -108,6 +112,10 @@ type t = {
   scratch : int array array;
       (* per-thread link-collect buffers (num_links wide) for
          [Arena.release_collect] *)
+  dctx : int array array;
+      (* per-thread D1–D6 contexts ({!Ann.deref_ctx}): the node D4
+         read and the slot D1 chose, plus under [Native] the geometry
+         of the fused stub *)
 }
 
 (* Hot-vector slot map: [currentFreeList] at 0, [helpCurrent] at 1,
@@ -153,11 +161,12 @@ let create ?(help_alloc = true) (cfg : Mm_intf.config) =
     | Some aw, Some hw -> Some { aw; hw; node_geom = Arena.node_geom arena }
     | _ -> None
   in
+  let ann = Ann.create ~backend ~threads:n () in
   {
     cfg;
     backend;
     arena;
-    ann = Ann.create ~backend ~threads:n ();
+    ann;
     ctr = C.create ~backend ~threads:n ();
     n;
     hot;
@@ -181,6 +190,9 @@ let create ?(help_alloc = true) (cfg : Mm_intf.config) =
       Array.init n (fun _ ->
           Array.make (max 64 (4 * (cfg.num_links + 1))) 0);
     scratch = Array.init n (fun _ -> Array.make (max 1 cfg.num_links) 0);
+    dctx =
+      Array.init n (fun tid ->
+          Ann.deref_ctx ann ~tid ~node_geom:(Arena.node_geom arena));
   }
 
 (* Push onto thread [tid]'s work stack, growing it when a reclamation
@@ -541,24 +553,45 @@ let alloc t ~tid =
 
 (* ---------------- DeRefLink (D1–D10) / HelpDeRef (H1–H8) ----------- *)
 
+(* D1–D6: announce the link, read it, count the reference, retract.
+   Returns D6's word [n1]; the node D4 read and the slot D1 chose are
+   left in words 0 and 1 of the thread's context. Under [Native] the
+   eager schemes run the six steps in one stub crossing
+   ({!Ann.deref_fused}); [Sim] and the deferred variant issue them one
+   by one. D2 skips its store when the index already holds the slot,
+   in both arms alike. *)
+let announce_read t ~tid link =
+  let ctx = t.dctx.(tid) in
+  match (t.fused, t.defer) with
+  | Some f, None -> Ann.deref_fused t.ann ~arena:f.aw ~ctx link
+  | _ ->
+      let slot = Ann.choose_slot t.ann ~tid in                      (* D1 *)
+      Ann.set_index t.ann ~tid slot;                                (* D2 *)
+      Ann.announce t.ann ~tid ~slot link;                           (* D3 *)
+      let node = Arena.read t.arena link in                         (* D4 *)
+      (* D5, with increment sponging under the deferred variant: a +2
+         whose target has a pending decrement in the CALLER'S OWN
+         buffer annihilates that entry locally instead of touching the
+         shared word — sound because the pending entry itself proves
+         the shared count over-approximates by 2, so the node cannot
+         have been claimed. A miss falls through to the eager FAA. *)
+      (if not (Value.is_null node) then
+         match t.defer with
+         | Some b when Rcbuf.cancel b ~tid (Value.unmark node) ->
+             C.incr t.ctr ~tid Rc_defer
+         | _ -> Arena.faa_mm_ref t.arena node 2);                   (* D5 *)
+      ctx.(0) <- node;
+      ctx.(1) <- slot;
+      Ann.retract t.ann ~tid ~slot                                  (* D6 *)
+
+let deref_d1_d6 t ~tid link =
+  let n1 = announce_read t ~tid link in
+  (n1, t.dctx.(tid).(0), t.dctx.(tid).(1))
+
 let rec deref t ~tid link =
   C.incr t.ctr ~tid Deref;
-  let slot = Ann.choose_slot t.ann ~tid in                          (* D1 *)
-  Ann.set_index t.ann ~tid slot;                                    (* D2 *)
-  Ann.announce t.ann ~tid ~slot link;                               (* D3 *)
-  let node = Arena.read t.arena link in                             (* D4 *)
-  (* D5, with increment sponging under the deferred variant: a +2
-     whose target has a pending decrement in the CALLER'S OWN buffer
-     annihilates that entry locally instead of touching the shared
-     word — sound because the pending entry itself proves the shared
-     count over-approximates by 2, so the node cannot have been
-     claimed. A miss falls through to the eager FAA. *)
-  (if not (Value.is_null node) then
-     match t.defer with
-     | Some b when Rcbuf.cancel b ~tid (Value.unmark node) ->
-         C.incr t.ctr ~tid Rc_defer
-     | _ -> Arena.faa_mm_ref t.arena node 2);                       (* D5 *)
-  let n1 = Ann.retract t.ann ~tid ~slot in                          (* D6 *)
+  let n1 = announce_read t ~tid link in                         (* D1–D6 *)
+  let node = t.dctx.(tid).(0) in
   if n1 <> Value.enc_link link then begin                           (* D7 *)
     C.incr t.ctr ~tid Deref_helped;
     if not (Value.is_null node) then release t ~tid node;           (* D8 *)

@@ -30,6 +30,13 @@ val deref : t -> tid:int -> Shmem.Value.addr -> int
 (** [DeRefLink] (D1–D10): read the link and acquire a reference on the
     target. Returns the raw word (null or a possibly-marked pointer). *)
 
+val deref_d1_d6 : t -> tid:int -> Shmem.Value.addr -> int * int * int
+(** DeRefLink's D1–D6 alone, as {!deref} runs them: [(n1, node, slot)]
+    — D6's retracted word, the node D4 read (its reference counted by
+    D5) and the slot D1 chose. The caller owns what D7–D10 would do
+    with them. Exposed so the [Native] stub can be tested against the
+    [Sim] sequence word for word. *)
+
 val release : t -> tid:int -> Shmem.Value.ptr -> unit
 (** [ReleaseRef] (R1–R4); cascade reclamation runs with constant
     stack. The pointer may be marked; must not be null. *)

@@ -145,6 +145,46 @@ let deref_tests =
         let root = Arena.root_addr (Gc.arena gc) 0 in
         Gc.help_deref gc ~tid:0 root;
         Gc.validate gc);
+    tc "native deref fails like choose_slot when every slot is busy"
+      (fun () ->
+        let gc = mk ~backend:Atomics.Backend.Native () in
+        let ann = Gc.announcements gc in
+        Ann.busy_incr ann ~id:0 ~slot:0;
+        Ann.busy_incr ann ~id:0 ~slot:1;
+        let root = Arena.root_addr (Gc.arena gc) 0 in
+        fails_with ~substring:"no free slot" (fun () ->
+            Gc.deref gc ~tid:0 root);
+        check_int "nothing announced" 0 (Ann.read_slot ann ~id:0 ~slot:0);
+        check_int "index untouched" 0 (Ann.read_index ann ~id:0));
+    tc "sim: a second deref of a link skips the same-value D2 store"
+      (fun () ->
+        let gc = mk () in
+        let arena = Gc.arena gc and ann = Gc.announcements gc in
+        let root = Arena.root_addr arena 0 in
+        let a = Gc.alloc gc ~tid:0 in
+        Arena.write arena root a;
+        (* a helper's claim on slot 0 sends tid 1 to slot 1, off the
+           index's initial 0, so the first deref must store it *)
+        Ann.busy_incr ann ~id:1 ~slot:0;
+        let deref () =
+          let steps = ref 0 in
+          let p =
+            Atomics.Schedpoint.with_hook
+              (fun () -> incr steps)
+              (fun () -> Gc.deref gc ~tid:1 root)
+          in
+          check_int "indexed slot 1" 1 (Ann.read_index ann ~id:1);
+          Gc.release gc ~tid:1 p;
+          !steps
+        in
+        let first = deref () in
+        let second = deref () in
+        check_int "one step fewer: the D2 store" (first - 1) second;
+        Ann.busy_decr ann ~id:1 ~slot:0;
+        Arena.write arena root Value.null;
+        Gc.release gc ~tid:0 a;
+        check_int "reclaimed" 16 (Gc.free_count gc);
+        Gc.validate gc);
   ]
 
 let release_tests =

@@ -11,6 +11,7 @@ let () =
       ("shmem", T_shmem.suite);
       ("atomics", T_atomics.suite);
       ("backend", T_backend.suite);
+      ("stubs", T_stubs.suite);
       ("sched", T_sched.suite);
       ("fault", T_fault.suite);
       ("oom", T_oom.suite);
