@@ -40,6 +40,13 @@ module Mm = Mm_intf
 module Q = Structures.Queue
 module Hmap = Structures.Hmap
 
+(* Each thread's entry in a counter array sits [pad] words (128 bytes,
+   a cache line and its prefetch partner) from the next thread's, as
+   [Atomics.Counters] pads its rows: both domains bump [sent] and
+   [received] on every message, and adjacent words would share a line.
+   The padding words stay 0, so a plain sum is still the total. *)
+let pad = 16
+
 type counters = {
   spawned : int array;
   spawn_fail : int array;
@@ -123,7 +130,7 @@ let create mm ~max_actors ~buckets ~seed ~tid =
     let owner = slot mod threads in
     free.(owner) <- slot :: free.(owner)
   done;
-  let zeros () = Array.make threads 0 in
+  let zeros () = Array.make (threads * pad) 0 in
   {
     mm;
     threads;
@@ -151,7 +158,7 @@ let create mm ~max_actors ~buckets ~seed ~tid =
 
 let wheel t = t.wheel
 let slot_of t id = id mod t.max_actors
-let bump a tid = a.(tid) <- a.(tid) + 1
+let bump a tid = a.(tid * pad) <- a.(tid * pad) + 1
 
 (* Spawn: claim a slot from this thread's free list, build the
    mailbox, register the id, arm the optional ttl timer, then publish
@@ -245,7 +252,8 @@ let retire t ~tid id =
         (match t.mailbox.(slot) with
         | Some q ->
             let leftover = Q.destroy q ~tid in
-            t.c.discarded.(tid) <- t.c.discarded.(tid) + leftover
+            let i = tid * pad in
+            t.c.discarded.(i) <- t.c.discarded.(i) + leftover
         | None -> ());
         t.mailbox.(slot) <- None;
         Atomic.set t.state.(slot) 0;

@@ -17,6 +17,14 @@
    skiplist cannot is the §1 applicability story. Together with
    [Pqueue] this repo demonstrates both.
 
+   Client reference discipline (DESIGN.md §6.5): the set takes a
+   counted reference only on a node whose words it reads, and takes it
+   once. A traversal keeps the reference it took on [cur.next] as the
+   next step's [cur], as Michael's list advances [cur <- next]. The
+   immortal head sentinel is borrowed, never counted: it is nobody's
+   successor, so no [deref] returns it and no count on it needs
+   balancing.
+
    Node layout: link 0 = next, data 0 = key, data 1 = value. Keys in
    (min_int, max_int) exclusive; head/tail sentinels are immortal. *)
 
@@ -57,12 +65,25 @@ let head t = t.head
 
 let key t p = Arena.read_data (Mm.arena t.mm) (Value.unmark p) 0
 let next_addr t p = Arena.link_addr (Mm.arena t.mm) (Value.unmark p) 0
-let release t ~tid p = if not (Value.is_null p) then Mm.release t.mm ~tid p
 
-(* Find the position for [k]: returns [(pred, cur, found)] with
-   references held on both nodes; [cur] is the first node with
-   key >= k. Unlinks (and terminates) marked nodes en route; raises
-   [Restart] when the footing is lost. *)
+(* [pred] may be the borrowed head sentinel, which holds no count. *)
+let release t ~tid p =
+  if p <> t.head && not (Value.is_null p) then Mm.release t.mm ~tid p
+
+(* Find the position for [k]: returns [(pred, cur)], where [cur] is
+   the first node with key >= k and was unmarked when its next word was
+   read. Both are held, except that [pred] may be the borrowed head.
+   Unlinks (and terminates) marked nodes en route; raises [Restart]
+   when the footing is lost.
+
+   [find_from] dereferences [pred]'s link once; [walk] then takes one
+   reference per node, on [cur.next], and hands it on as the next
+   step's [cur]. An unmarked [w] read while [cur] is held means [cur]
+   was still in the list at that read (only marked nodes are ever
+   unlinked), so [w] was its successor, as if [cur]'s link had been
+   read again as the next step's [pred]. After a successful unlink
+   CAS the same holds for [pred] and the unlinked node's successor.
+   The tail's null link is never read. *)
 let rec find_from t ~tid k pred =
   let cur = Mm.deref t.mm ~tid (next_addr t pred) in
   if Value.is_marked cur then begin
@@ -71,18 +92,22 @@ let rec find_from t ~tid k pred =
     release t ~tid pred;
     raise Restart
   end
+  else walk t ~tid k pred cur
+
+and walk t ~tid k pred cur =
+  (* cur is never null: the tail sentinel bounds the list *)
+  if cur = t.tail then (pred, cur)
   else begin
-    (* cur is never null: the tail sentinel bounds the list *)
     let w = Mm.deref t.mm ~tid (next_addr t cur) in
     if Value.is_marked w then begin
       (* cur is logically deleted: unlink it here, or restart *)
       let succ = Value.unmark w in
       if Mm.cas_link t.mm ~tid (next_addr t pred) ~old:cur ~nw:succ then begin
-        (* we unlinked it: we own the retirement *)
-        release t ~tid w;
+        (* we unlinked it: we own the retirement; [w]'s reference
+           moves on as the new [cur] *)
         release t ~tid cur;
         Mm.terminate t.mm ~tid cur;
-        find_from t ~tid k pred
+        walk t ~tid k pred succ
       end
       else begin
         release t ~tid w;
@@ -91,18 +116,18 @@ let rec find_from t ~tid k pred =
         raise Restart
       end
     end
-    else begin
+    else if key t cur >= k then begin
       release t ~tid w;
-      if cur = t.tail || key t cur >= k then (pred, cur)
-      else begin
-        release t ~tid pred;
-        find_from t ~tid k cur
-      end
+      (pred, cur)
+    end
+    else begin
+      release t ~tid pred;
+      walk t ~tid k cur w
     end
   end
 
 let rec find t ~tid k =
-  match find_from t ~tid k (Mm.copy_ref t.mm ~tid t.head) with
+  match find_from t ~tid k t.head with
   | res -> res
   | exception Restart -> find t ~tid k
 
@@ -224,31 +249,27 @@ let to_list t ~tid =
   Mm.enter_op t.mm ~tid;
   Fun.protect ~finally:(fun () -> Mm.exit_op t.mm ~tid) @@ fun () ->
   let arena = Mm.arena t.mm in
-  let rec go acc p =
-    let w = Mm.deref t.mm ~tid (next_addr t p) in
+  (* [w] is [p]'s next word, held; a marked [w] means [p] is deleted,
+     not [unmark w] *)
+  let rec go acc p w =
+    release t ~tid p;
     let u = Value.unmark w in
     if u = t.tail then begin
       release t ~tid w;
-      release t ~tid p;
       List.rev acc
     end
     else begin
-      (* a marked word means [p] is deleted, not [u]; include [u]
-         unless [u] itself is logically deleted *)
+      (* include [u] unless it is itself logically deleted; the
+         reference on [un] moves on with [u] *)
       let un = Mm.deref t.mm ~tid (next_addr t u) in
-      let deleted = Value.is_marked un in
-      release t ~tid un;
       let acc =
-        if deleted then acc
+        if Value.is_marked un then acc
         else (Arena.read_data arena u 0, Arena.read_data arena u 1) :: acc
       in
-      release t ~tid p;
-      (* the deref reference on [u] (via [w]) transfers to the next
-         iteration's [p] *)
-      go acc u
+      go acc w un
     end
   in
-  go [] (Mm.copy_ref t.mm ~tid t.head)
+  go [] t.head (Mm.deref t.mm ~tid (next_addr t t.head))
 
 let size t ~tid = List.length (to_list t ~tid)
 

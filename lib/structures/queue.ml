@@ -6,6 +6,13 @@
    the HP/EBR schemes, whose safety derives from [terminate] being
    called only on unlinked nodes.
 
+   The dequeuer reads the tail link uncounted (DESIGN.md §6.5): [last]
+   is only compared with [first], which is held, and is the [cas_link]
+   [old] only when the two are equal. A pointer equal to a held node
+   names that node, since held nodes are never reclaimed, so the
+   comparison has no ABA; the value is the one a [deref]'s link read
+   would have returned.
+
    Node layout: link 0 = next, data 0 = value. *)
 
 module Mm = Mm_intf
@@ -71,11 +78,10 @@ let dequeue t ~tid =
   let arena = Mm.arena t.mm in
   let rec attempt () =
     let first = Mm.deref t.mm ~tid t.head in
-    let last = Mm.deref t.mm ~tid t.tail in
+    let last = Shmem.Arena.read arena t.tail in
     let nextw = Mm.deref t.mm ~tid (next_addr t first) in
     let release_all () =
       if not (Value.is_null nextw) then Mm.release t.mm ~tid nextw;
-      Mm.release t.mm ~tid last;
       Mm.release t.mm ~tid first
     in
     if first = last then

@@ -5,6 +5,9 @@
 open Helpers
 module Oset = Structures.Oset
 module Mm = Mm_intf
+module C = Atomics.Counters
+module Set_ops = Lincheck.Specs.Set_ops
+module Set_check = Lincheck.Checker.Make (Set_ops)
 
 let mk scheme ?(threads = 2) ?(capacity = 64) () =
   let cfg =
@@ -154,6 +157,40 @@ let conc_tests scheme =
         assert_all_free ~reserved:2 mm);
   ]
 
+(* Client reference discipline (DESIGN.md §6.5): one deref and one
+   release per visited node, and the head sentinel is never counted. *)
+let budget_tests =
+  let mixed s =
+    List.iter (fun k -> ignore (Oset.insert s ~tid:0 k k)) [ 30; 10; 40; 20 ];
+    ignore (Oset.remove s ~tid:0 20);
+    ignore (Oset.mem s ~tid:0 20);
+    ignore (Oset.lookup s ~tid:0 40);
+    ignore (Oset.insert s ~tid:0 20 2);
+    ignore (Oset.remove s ~tid:0 10);
+    ignore (Oset.to_list s ~tid:0);
+    ignore (Oset.clear s ~tid:0)
+  in
+  tc "wfrc: lookup of the last of four keys costs 5 derefs and 5 releases"
+    (fun () ->
+      let mm, s = mk "wfrc" () in
+      List.iter (fun k -> ignore (Oset.insert s ~tid:0 k k)) [ 10; 20; 30; 40 ];
+      let ctr = Mm.counters mm in
+      let d0 = C.total ctr C.Deref and r0 = C.total ctr C.Release in
+      check_bool "found" true (Oset.lookup s ~tid:0 40 = Some 40);
+      check_int "derefs" 5 (C.total ctr C.Deref - d0);
+      check_int "releases" 5 (C.total ctr C.Release - r0))
+  :: List.map
+       (fun scheme ->
+         tc (scheme ^ ": head sentinel's mm_ref unchanged by a mixed run")
+           (fun () ->
+             let mm, s = mk scheme () in
+             let arena = Mm.arena mm in
+             let r0 = Shmem.Arena.read_mm_ref arena (Oset.head s) in
+             mixed s;
+             check_int "head mm_ref" r0
+               (Shmem.Arena.read_mm_ref arena (Oset.head s))))
+       [ "wfrc"; "lfrc" ]
+
 let sim_tests =
   (* the retire-based schemes are the interesting ones here: this is
      the structure that must be safe on them *)
@@ -191,7 +228,98 @@ let sim_tests =
   in
   List.map sweep [ "wfrc"; "lfrc"; "hp"; "ebr" ]
 
+(* A reader walks a 4-key chain to its last key while the other thread
+   removes and reinserts the middle keys under it: the step where a
+   traversal hands its reference on [cur.next] forward. Every schedule
+   must be linearizable and, under the reclamation oracle, free of any
+   access to a reclaimed node. The biased half starves the reader so
+   the writer's retirements (and HP scans, EBR advances) land while it
+   is parked mid-walk. *)
+let race_tests =
+  let factory scheme () =
+    let cfg =
+      Mm.config ~threads:2 ~capacity:16 ~num_links:1 ~num_data:2 ~num_roots:0
+        ()
+    in
+    let mm = mm_of scheme cfg in
+    ( Mm.arena mm,
+      fun () ->
+        let s = Oset.create mm ~tid:0 in
+        let keys = [ 10; 20; 30; 40 ] in
+        List.iter (fun k -> ignore (Oset.insert s ~tid:0 k k)) keys;
+        let hist = Lincheck.History.create ~threads:2 in
+        let op tid o f =
+          ignore
+            (Lincheck.History.record hist ~tid o (fun () -> Set_ops.Bool (f ())))
+        in
+        let lookup tid k =
+          op tid (Set_ops.Mem k) (fun () ->
+              match Oset.lookup s ~tid k with
+              | Some v when v <> k -> failwith "lookup returned a wrong value"
+              | r -> r <> None)
+        in
+        let body tid =
+          if tid = 0 then begin
+            op tid (Set_ops.Mem 40) (fun () -> Oset.mem s ~tid 40);
+            lookup tid 40;
+            op tid (Set_ops.Mem 20) (fun () -> Oset.mem s ~tid 20);
+            lookup tid 30
+          end
+          else
+            List.iter
+              (fun k ->
+                op tid (Set_ops.Remove k) (fun () -> Oset.remove s ~tid k);
+                op tid (Set_ops.Insert k) (fun () -> Oset.insert s ~tid k k))
+              [ 20; 30 ]
+        in
+        let check () =
+          let pre =
+            Array.of_list
+              (List.mapi
+                 (fun i k ->
+                   {
+                     Lincheck.History.tid = 0;
+                     op = Set_ops.Insert k;
+                     res = Set_ops.Bool true;
+                     invoke = (2 * i) - 8;
+                     return = (2 * i) - 7;
+                   })
+                 keys)
+          in
+          if not (Set_check.check (Array.append pre (Lincheck.History.events hist)))
+          then failwith "not linearizable";
+          if List.map fst (Oset.to_list s ~tid:0) <> keys then
+            failwith "final set differs";
+          ignore (Oset.clear s ~tid:0);
+          flush mm;
+          Mm.validate mm;
+          if Mm.free_count mm <> 14 then failwith "leak"
+        in
+        (body, check) )
+  in
+  List.map
+    (fun scheme ->
+      tc (scheme ^ ": walk races a middle remove/reinsert (lincheck + oracle)")
+        (fun () ->
+          let mk = Analysis.Reclaim.instrument ~threads:2 (factory scheme) in
+          Analysis.Reclaim.with_oracle (fun () ->
+              sweep_ok ~runs:150 ~threads:2 mk;
+              match
+                (Sched.Explore.policy_sweep ~threads:2 ~runs:150
+                   ~policy:(fun i ->
+                     Sched.Policy.biased ~seed:(8_000 + i) ~victim:0 ~weight:24)
+                   mk)
+                  .failure
+              with
+              | None -> ()
+              | Some f ->
+                  Alcotest.failf "schedule violation: %s"
+                    (Sched.Explore.failure_message f))))
+    [ "wfrc"; "lfrc"; "hp"; "ebr" ]
+
 let suite =
   List.concat_map seq_tests all_schemes
   @ List.concat_map conc_tests all_schemes
+  @ budget_tests
   @ sim_tests
+  @ race_tests

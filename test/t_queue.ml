@@ -12,6 +12,12 @@ let mk scheme ?(threads = 2) ?(capacity = 64) () =
   let mm = mm_of scheme cfg in
   (mm, Queue_.create mm ~head_root:0 ~tail_root:1 ~tid:0)
 
+let flush mm =
+  for _ = 1 to 100 do
+    Mm.enter_op mm ~tid:0;
+    Mm.exit_op mm ~tid:0
+  done
+
 let seq_tests scheme =
   let pre name = Printf.sprintf "%s: %s" scheme name in
   [
@@ -40,10 +46,7 @@ let seq_tests scheme =
           Queue_.enqueue q ~tid:0 i;
           ignore (Queue_.dequeue q ~tid:0)
         done;
-        for _ = 1 to 100 do
-          Mm.enter_op mm ~tid:0;
-          Mm.exit_op mm ~tid:0
-        done;
+        flush mm;
         assert_all_free ~reserved:1 mm);
     qc ~count:100
       (pre "differential vs two-list model")
@@ -97,10 +100,7 @@ let conc_tests scheme =
         in
         check_bool "multiset conserved" true
           (List.sort compare all_enq = List.sort compare all_deq);
-        for _ = 1 to 100 do
-          Mm.enter_op mm ~tid:0;
-          Mm.exit_op mm ~tid:0
-        done;
+        flush mm;
         assert_all_free ~reserved:1 mm);
     tc (pre "per-producer FIFO preserved under concurrency") (fun () ->
         (* values of one producer must be dequeued in their enqueue
@@ -139,12 +139,29 @@ let conc_tests scheme =
         ignore mm);
   ]
 
-let sim_tests =
+(* Dequeue reads the tail root uncounted: only the head and the
+   sentinel's next link are dereferenced. *)
+let budget_tests =
   [
-    tc "wfrc queue: deterministic sweep conserves values + memory"
+    tc "wfrc: dequeue from a non-empty queue costs exactly 2 derefs"
+      (fun () ->
+        let mm, q = mk "wfrc" () in
+        List.iter (Queue_.enqueue q ~tid:0) [ 1; 2 ];
+        let ctr = Mm.counters mm in
+        let d0 = Atomics.Counters.(total ctr Deref) in
+        check_bool "deq 1" true (Queue_.dequeue q ~tid:0 = Some 1);
+        check_int "derefs" 2 (Atomics.Counters.(total ctr Deref) - d0));
+  ]
+
+(* The dequeuer's uncounted tail read is scheme-generic, so both
+   sweeps run on every scheme. *)
+let sim_tests scheme =
+  [
+    tc (Printf.sprintf "%s queue: deterministic sweep conserves values + memory"
+          scheme)
       (fun () ->
         sweep_ok ~runs:200 ~threads:2 (fun () ->
-            let mm, q = mk "wfrc" ~capacity:16 () in
+            let mm, q = mk scheme ~capacity:16 () in
             let got = Array.make 2 [] in
             let body tid =
               Queue_.enqueue q ~tid (100 + tid);
@@ -156,18 +173,21 @@ let sim_tests =
               let rest = Queue_.drain q ~tid:0 in
               let all = List.sort compare (rest @ got.(0) @ got.(1)) in
               if all <> [ 100; 101 ] then failwith "values not conserved";
+              flush mm;
               Mm.validate mm;
               if Mm.free_count mm <> 15 then failwith "leak"
             in
             (body, check)));
-    tc "wfrc queue: enq/enq then FIFO drain (exhaustive-ish)" (fun () ->
+    tc (Printf.sprintf "%s queue: enq/enq then FIFO drain (exhaustive-ish)"
+          scheme) (fun () ->
         sweep_ok ~runs:200 ~threads:2 (fun () ->
-            let mm, q = mk "wfrc" ~capacity:16 () in
+            let mm, q = mk scheme ~capacity:16 () in
             let body tid = Queue_.enqueue q ~tid tid in
             let check () =
               let rest = Queue_.drain q ~tid:0 in
               if List.sort compare rest <> [ 0; 1 ] then
                 failwith "lost enqueue";
+              flush mm;
               Mm.validate mm;
               if Mm.free_count mm <> 15 then failwith "leak"
             in
@@ -177,4 +197,5 @@ let sim_tests =
 let suite =
   List.concat_map seq_tests all_schemes
   @ List.concat_map conc_tests [ "wfrc"; "lfrc"; "hp"; "ebr" ]
-  @ sim_tests
+  @ budget_tests
+  @ List.concat_map sim_tests all_schemes
