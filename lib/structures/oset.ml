@@ -18,12 +18,13 @@
    [Pqueue] this repo demonstrates both.
 
    Client reference discipline (DESIGN.md §6.5): the set takes a
-   counted reference only on a node whose words it reads, and takes it
-   once. A traversal keeps the reference it took on [cur.next] as the
-   next step's [cur], as Michael's list advances [cur <- next]. The
-   immortal head sentinel is borrowed, never counted: it is nobody's
-   successor, so no [deref] returns it and no count on it needs
-   balancing.
+   counted reference only on a node it steps onto, and takes it once.
+   A traversal keeps the reference it took on [cur.next] as the next
+   step's [cur], as Michael's list advances [cur <- next]; the node it
+   stops on has its next word read uncounted, since only the word's
+   mark bit is tested. The immortal sentinels are borrowed, never
+   counted: the head is nobody's successor, and [succ] hands the tail
+   out uncounted (giving back the count when a deref lands on it).
 
    Node layout: link 0 = next, data 0 = key, data 1 = value. Keys in
    (min_int, max_int) exclusive; head/tail sentinels are immortal. *)
@@ -36,6 +37,7 @@ exception Restart
 
 type t = {
   mm : Mm.instance;
+  arena : Arena.t; (* [Mm.arena mm], fetched once: every step reads it *)
   head : Value.ptr;
   tail : Value.ptr;
 }
@@ -59,33 +61,50 @@ let create mm ~tid =
   Mm.make_immortal mm ~tid head;
   Mm.make_immortal mm ~tid tail;
   Mm.exit_op mm ~tid;
-  { mm; head; tail }
+  { mm; arena; head; tail }
 
 let head t = t.head
 
-let key t p = Arena.read_data (Mm.arena t.mm) (Value.unmark p) 0
-let next_addr t p = Arena.link_addr (Mm.arena t.mm) (Value.unmark p) 0
+let key t p = Arena.read_data t.arena (Value.unmark p) 0
+let next_addr t p = Arena.link_addr t.arena (Value.unmark p) 0
 
-(* [pred] may be the borrowed head sentinel, which holds no count. *)
+(* [p] may be a borrowed sentinel, which holds no count. *)
 let release t ~tid p =
-  if p <> t.head && not (Value.is_null p) then Mm.release t.mm ~tid p
+  if p <> t.head && Value.unmark p <> t.tail && not (Value.is_null p) then
+    Mm.release t.mm ~tid p
+
+(* [p]'s next word, counted unless it names the tail, which is
+   borrowed like the head. A word naming the tail is returned after a
+   plain read; a deref that lands on the tail anyway (a racing remove
+   unlinked the last key) gives its count back at once. *)
+let succ t ~tid p =
+  let a = next_addr t p in
+  let w = Arena.read t.arena a in
+  if Value.unmark w = t.tail then w
+  else begin
+    let w = Mm.deref t.mm ~tid a in
+    if Value.unmark w = t.tail then Mm.release t.mm ~tid w;
+    w
+  end
 
 (* Find the position for [k]: returns [(pred, cur)], where [cur] is
    the first node with key >= k and was unmarked when its next word was
-   read. Both are held, except that [pred] may be the borrowed head.
+   read. Both are held, except that either may be a borrowed sentinel.
    Unlinks (and terminates) marked nodes en route; raises [Restart]
    when the footing is lost.
 
    [find_from] dereferences [pred]'s link once; [walk] then takes one
-   reference per node, on [cur.next], and hands it on as the next
-   step's [cur]. An unmarked [w] read while [cur] is held means [cur]
-   was still in the list at that read (only marked nodes are ever
-   unlinked), so [w] was its successor, as if [cur]'s link had been
-   read again as the next step's [pred]. After a successful unlink
-   CAS the same holds for [pred] and the unlinked node's successor.
-   The tail's null link is never read. *)
+   reference per node it steps onto, on [cur.next], and hands it on as
+   the next step's [cur]. An unmarked [w] read while [cur] is held
+   means [cur] was still in the list at that read (only marked nodes
+   are ever unlinked), so [w] was its successor, as if [cur]'s link
+   had been read again as the next step's [pred]. After a successful
+   unlink CAS the same holds for [pred] and the unlinked node's
+   successor. The node the walk stops on has its next word read
+   uncounted: that word is the one a deref would have read, and only
+   its mark bit is tested. The tail's null link is never read. *)
 let rec find_from t ~tid k pred =
-  let cur = Mm.deref t.mm ~tid (next_addr t pred) in
+  let cur = succ t ~tid pred in
   if Value.is_marked cur then begin
     (* pred itself is deleted *)
     release t ~tid cur;
@@ -97,17 +116,27 @@ let rec find_from t ~tid k pred =
 and walk t ~tid k pred cur =
   (* cur is never null: the tail sentinel bounds the list *)
   if cur = t.tail then (pred, cur)
+  else if
+    key t cur >= k
+    && not (Value.is_marked (Arena.read t.arena (next_addr t cur)))
+  then (pred, cur)
   else begin
-    let w = Mm.deref t.mm ~tid (next_addr t cur) in
-    if Value.is_marked w then begin
+    (* a step onto [cur.next], or [cur] is marked: a mark is final, so
+       an unmarked [w] here comes from a key < k step *)
+    let w = succ t ~tid cur in
+    if not (Value.is_marked w) then begin
+      release t ~tid pred;
+      walk t ~tid k cur w
+    end
+    else begin
       (* cur is logically deleted: unlink it here, or restart *)
-      let succ = Value.unmark w in
-      if Mm.cas_link t.mm ~tid (next_addr t pred) ~old:cur ~nw:succ then begin
+      let nxt = Value.unmark w in
+      if Mm.cas_link t.mm ~tid (next_addr t pred) ~old:cur ~nw:nxt then begin
         (* we unlinked it: we own the retirement; [w]'s reference
            moves on as the new [cur] *)
         release t ~tid cur;
         Mm.terminate t.mm ~tid cur;
-        walk t ~tid k pred succ
+        walk t ~tid k pred nxt
       end
       else begin
         release t ~tid w;
@@ -115,14 +144,6 @@ and walk t ~tid k pred cur =
         release t ~tid pred;
         raise Restart
       end
-    end
-    else if key t cur >= k then begin
-      release t ~tid w;
-      (pred, cur)
-    end
-    else begin
-      release t ~tid pred;
-      walk t ~tid k cur w
     end
   end
 
@@ -146,7 +167,7 @@ let lookup t ~tid k =
   let pred, cur = find t ~tid k in
   let res =
     if cur <> t.tail && key t cur = k then
-      Some (Arena.read_data (Mm.arena t.mm) cur 1)
+      Some (Arena.read_data t.arena cur 1)
     else None
   in
   release t ~tid cur;
@@ -158,7 +179,6 @@ let insert t ~tid k v =
   if k = max_int || k = min_int then invalid_arg "Oset.insert: key reserved";
   Mm.enter_op t.mm ~tid;
   Fun.protect ~finally:(fun () -> Mm.exit_op t.mm ~tid) @@ fun () ->
-  let arena = Mm.arena t.mm in
   let n = ref Value.null in
   let rec attempt () =
     let pred, cur = find t ~tid k in
@@ -175,9 +195,15 @@ let insert t ~tid k v =
     end
     else begin
       if Value.is_null !n then begin
-        n := Mm.alloc t.mm ~tid;
-        Arena.write_data arena !n 0 k;
-        Arena.write_data arena !n 1 v
+        (match Mm.alloc t.mm ~tid with
+        | p -> n := p
+        | exception e ->
+            (* out of nodes: give back the search's references *)
+            release t ~tid cur;
+            release t ~tid pred;
+            raise e);
+        Arena.write_data t.arena !n 0 k;
+        Arena.write_data t.arena !n 1 v
       end;
       Mm.store_link t.mm ~tid (next_addr t !n) cur;
       let ok = Mm.cas_link t.mm ~tid (next_addr t pred) ~old:cur ~nw:!n in
@@ -204,7 +230,7 @@ let remove t ~tid k =
       false
     end
     else begin
-      let w = Mm.deref t.mm ~tid (next_addr t cur) in
+      let w = succ t ~tid cur in
       if Value.is_marked w then begin
         (* someone else is deleting it; let find clean up *)
         release t ~tid w;
@@ -248,7 +274,6 @@ let remove t ~tid k =
 let to_list t ~tid =
   Mm.enter_op t.mm ~tid;
   Fun.protect ~finally:(fun () -> Mm.exit_op t.mm ~tid) @@ fun () ->
-  let arena = Mm.arena t.mm in
   (* [w] is [p]'s next word, held; a marked [w] means [p] is deleted,
      not [unmark w] *)
   let rec go acc p w =
@@ -261,15 +286,16 @@ let to_list t ~tid =
     else begin
       (* include [u] unless it is itself logically deleted; the
          reference on [un] moves on with [u] *)
-      let un = Mm.deref t.mm ~tid (next_addr t u) in
+      let un = succ t ~tid u in
       let acc =
         if Value.is_marked un then acc
-        else (Arena.read_data arena u 0, Arena.read_data arena u 1) :: acc
+        else
+          (Arena.read_data t.arena u 0, Arena.read_data t.arena u 1) :: acc
       in
       go acc w un
     end
   in
-  go [] t.head (Mm.deref t.mm ~tid (next_addr t t.head))
+  go [] t.head (succ t ~tid t.head)
 
 let size t ~tid = List.length (to_list t ~tid)
 

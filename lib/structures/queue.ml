@@ -13,6 +13,12 @@
    comparison has no ABA; the value is the one a [deref]'s link read
    would have returned.
 
+   The enqueuer reads [last.next] uncounted too: [last] is held, and
+   an MS-queue next word changes only once, from null to a node, until
+   its node is reclaimed. A non-null [nextw] is therefore pinned by
+   [last]'s own link for as long as [last] is held, which is all the
+   tail swing's [cas_link] needs of its [nw].
+
    Node layout: link 0 = next, data 0 = value. *)
 
 module Mm = Mm_intf
@@ -50,11 +56,10 @@ let enqueue t ~tid v =
   Mm.store_link t.mm ~tid (next_addr t n) Value.null;
   let rec attempt () =
     let last = Mm.deref t.mm ~tid t.tail in
-    let nextw = Mm.deref t.mm ~tid (next_addr t last) in
+    let nextw = Shmem.Arena.read arena (next_addr t last) in
     if not (Value.is_null nextw) then begin
       (* Tail is lagging: help advance it, then retry. *)
       ignore (Mm.cas_link t.mm ~tid t.tail ~old:last ~nw:(Value.unmark nextw));
-      Mm.release t.mm ~tid nextw;
       Mm.release t.mm ~tid last;
       attempt ()
     end
@@ -121,8 +126,8 @@ let is_empty t ~tid =
   Mm.enter_op t.mm ~tid;
   Fun.protect ~finally:(fun () -> Mm.exit_op t.mm ~tid) @@ fun () ->
   let first = Mm.deref t.mm ~tid t.head in
-  let nextw = Mm.deref t.mm ~tid (next_addr t first) in
-  if not (Value.is_null nextw) then Mm.release t.mm ~tid nextw;
+  (* only null-tested: a plain read *)
+  let nextw = Shmem.Arena.read (Mm.arena t.mm) (next_addr t first) in
   Mm.release t.mm ~tid first;
   Value.is_null nextw
 

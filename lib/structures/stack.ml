@@ -5,7 +5,13 @@
    by [alloc]/[deref] is released before the operation returns.
 
    Node layout: link 0 = next, data 0 = value. Requires
-   [num_links >= 1], [num_data >= 1], one root cell (the top link). *)
+   [num_links >= 1], [num_data >= 1], one root cell (the top link).
+
+   Pop reads the top node's next word uncounted (DESIGN.md §6.5): it
+   is only the [cas_link] [nw], and a pushed node's next link never
+   changes until the node is reclaimed, so it is pinned by the held
+   [old]'s link. Michael's hazard-pointer Treiber stack leaves it
+   unprotected too. *)
 
 module Mm = Mm_intf
 module Value = Shmem.Value
@@ -50,16 +56,14 @@ let pop t ~tid =
     let old = Mm.deref t.mm ~tid t.top in
     if Value.is_null old then None
     else begin
-      let next = Mm.deref t.mm ~tid (Shmem.Arena.link_addr arena old 0) in
+      let next = Shmem.Arena.read arena (Shmem.Arena.link_addr arena old 0) in
       if Mm.cas_link t.mm ~tid t.top ~old ~nw:next then begin
         let v = Shmem.Arena.read_data arena old 0 in
-        if not (Value.is_null next) then Mm.release t.mm ~tid next;
         Mm.release t.mm ~tid old;
         Mm.terminate t.mm ~tid old;
         Some v
       end
       else begin
-        if not (Value.is_null next) then Mm.release t.mm ~tid next;
         Mm.release t.mm ~tid old;
         attempt ()
       end
@@ -67,15 +71,8 @@ let pop t ~tid =
   in
   attempt ()
 
-let is_empty t ~tid =
-  Mm.enter_op t.mm ~tid;
-  Fun.protect ~finally:(fun () -> Mm.exit_op t.mm ~tid) @@ fun () ->
-  let w = Mm.deref t.mm ~tid t.top in
-  if Value.is_null w then true
-  else begin
-    Mm.release t.mm ~tid w;
-    false
-  end
+(* Only null-tests the top word: a plain read. *)
+let is_empty t ~tid:_ = Value.is_null (Shmem.Arena.read (Mm.arena t.mm) t.top)
 
 (* Pop everything (quiescent teardown helper for leak tests). *)
 let drain t ~tid =

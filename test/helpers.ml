@@ -60,6 +60,26 @@ let sweep_ok ?(runs = 200) ?(seed = 9_000) ~threads mk =
   | Some f ->
       Alcotest.failf "schedule violation: %s" (Sched.Explore.failure_message f)
 
+(* Two-thread race bed under the reclamation oracle: a random sweep,
+   then a biased one that starves thread 0 so the other thread's
+   retirements (and HP scans, EBR advances) land while it is parked
+   mid-operation. *)
+let race_sweep_ok ?(runs = 150) mk =
+  let mk = Analysis.Reclaim.instrument ~threads:2 mk in
+  Analysis.Reclaim.with_oracle (fun () ->
+      sweep_ok ~runs ~threads:2 mk;
+      match
+        (Sched.Explore.policy_sweep ~threads:2 ~runs
+           ~policy:(fun i ->
+             Sched.Policy.biased ~seed:(8_000 + i) ~victim:0 ~weight:24)
+           mk)
+          .failure
+      with
+      | None -> ()
+      | Some f ->
+          Alcotest.failf "schedule violation: %s"
+            (Sched.Explore.failure_message f))
+
 let exhaustive_ok ?(max_schedules = 20_000) ~threads mk =
   let r = Sched.Explore.exhaustive ~max_schedules ~threads mk in
   (match r.failure with

@@ -157,8 +157,20 @@ let conc_tests scheme =
         assert_all_free ~reserved:2 mm);
   ]
 
+(* The tail sentinel: the head's first link in an empty set. *)
+let tail_of mm s =
+  let arena = Mm.arena mm in
+  Value.unmark (Arena.read arena (Arena.link_addr arena (Oset.head s) 0))
+
+(* A sentinel's [mm_ref] once every deferred decrement is applied
+   ([free_count] flushes the rc buffers). *)
+let settled_ref mm p =
+  ignore (Mm.free_count mm);
+  Arena.read_mm_ref (Mm.arena mm) p
+
 (* Client reference discipline (DESIGN.md §6.5): one deref and one
-   release per visited node, and the head sentinel is never counted. *)
+   release per node a traversal steps onto, none for the node it stops
+   on, and neither sentinel is ever counted. *)
 let budget_tests =
   let mixed s =
     List.iter (fun k -> ignore (Oset.insert s ~tid:0 k k)) [ 30; 10; 40; 20 ];
@@ -170,26 +182,62 @@ let budget_tests =
     ignore (Oset.to_list s ~tid:0);
     ignore (Oset.clear s ~tid:0)
   in
-  tc "wfrc: lookup of the last of four keys costs 5 derefs and 5 releases"
-    (fun () ->
-      let mm, s = mk "wfrc" () in
-      List.iter (fun k -> ignore (Oset.insert s ~tid:0 k k)) [ 10; 20; 30; 40 ];
-      let ctr = Mm.counters mm in
-      let d0 = C.total ctr C.Deref and r0 = C.total ctr C.Release in
-      check_bool "found" true (Oset.lookup s ~tid:0 40 = Some 40);
-      check_int "derefs" 5 (C.total ctr C.Deref - d0);
-      check_int "releases" 5 (C.total ctr C.Release - r0))
-  :: List.map
-       (fun scheme ->
-         tc (scheme ^ ": head sentinel's mm_ref unchanged by a mixed run")
-           (fun () ->
-             let mm, s = mk scheme () in
-             let arena = Mm.arena mm in
-             let r0 = Shmem.Arena.read_mm_ref arena (Oset.head s) in
-             mixed s;
-             check_int "head mm_ref" r0
-               (Shmem.Arena.read_mm_ref arena (Oset.head s))))
-       [ "wfrc"; "lfrc" ]
+  let lookup_costs name ~keys ~k ~found ~calls =
+    tc name (fun () ->
+        let mm, s = mk "wfrc" () in
+        List.iter (fun k -> ignore (Oset.insert s ~tid:0 k k)) keys;
+        let ctr = Mm.counters mm in
+        let d0 = C.total ctr C.Deref and r0 = C.total ctr C.Release in
+        check_bool "found" found (Oset.lookup s ~tid:0 k <> None);
+        check_int "derefs" calls (C.total ctr C.Deref - d0);
+        check_int "releases" calls (C.total ctr C.Release - r0))
+  in
+  [
+    lookup_costs
+      "wfrc: lookup of the last of four keys costs 4 derefs and 4 releases"
+      ~keys:[ 10; 20; 30; 40 ] ~k:40 ~found:true ~calls:4;
+    lookup_costs "wfrc: lookup hit on the first key costs 1 deref and 1 release"
+      ~keys:[ 10; 20; 30; 40 ] ~k:10 ~found:true ~calls:1;
+    lookup_costs "wfrc: lookup in an empty set costs no deref and no release"
+      ~keys:[] ~k:10 ~found:false ~calls:0;
+  ]
+  @ List.concat_map
+      (fun (which, sentinel, schemes) ->
+        List.map
+          (fun scheme ->
+            tc
+              (Printf.sprintf "%s: %s sentinel's mm_ref unchanged by a mixed run"
+                 scheme which) (fun () ->
+                let mm, s = mk scheme () in
+                let p = sentinel mm s in
+                let r0 = settled_ref mm p in
+                mixed s;
+                check_int (which ^ " mm_ref") r0 (settled_ref mm p)))
+          schemes)
+      [
+        ("head", (fun _ s -> Oset.head s), [ "wfrc"; "lfrc" ]);
+        ("tail", tail_of, [ "wfrc"; "lfrc"; "lockrc"; "wfrc_deferred" ]);
+      ]
+
+(* An insert whose [alloc] runs out of nodes gives back the references
+   its search took: after the set is cleared, every node but the two
+   sentinels is free again. *)
+let oom_tests scheme =
+  [
+    tc (scheme ^ ": inserts past capacity strand no node") (fun () ->
+        let mm, s = mk scheme ~capacity:8 () in
+        let refused = ref 0 in
+        for i = 1 to 10 do
+          match Oset.insert s ~tid:0 (10 * i) i with
+          | ok -> check_bool "fresh key inserted" true ok
+          | exception (Mm.Out_of_memory | Mm.Out_of_nodes _) -> incr refused
+        done;
+        (* wfrc's own-cell hand-off may hold back a node of its own *)
+        check_bool "inserts refused" true (!refused >= 4);
+        check_int "cleared" (10 - !refused) (Oset.clear s ~tid:0);
+        flush mm;
+        assert_all_free ~reserved:2 mm);
+  ]
 
 let sim_tests =
   (* the retire-based schemes are the interesting ones here: this is
@@ -228,15 +276,16 @@ let sim_tests =
   in
   List.map sweep [ "wfrc"; "lfrc"; "hp"; "ebr" ]
 
-(* A reader walks a 4-key chain to its last key while the other thread
-   removes and reinserts the middle keys under it: the step where a
-   traversal hands its reference on [cur.next] forward. Every schedule
-   must be linearizable and, under the reclamation oracle, free of any
-   access to a reclaimed node. The biased half starves the reader so
-   the writer's retirements (and HP scans, EBR advances) land while it
-   is parked mid-walk. *)
-let race_tests =
-  let factory scheme () =
+(* Two-thread race beds over a preloaded set: the reader's script runs
+   on thread 0, the writer's on thread 1, and the writer leaves the
+   set holding [keys] again. Every schedule must be linearizable and,
+   under the reclamation oracle, free of any access to a reclaimed
+   node, and the tail sentinel's count must balance. The biased half
+   of the sweep starves the reader mid-walk. *)
+type step = Mem of int | Lookup of int | Insert of int | Remove of int
+
+let race_bed ~keys ~reader ~writer scheme =
+  let factory () =
     let cfg =
       Mm.config ~threads:2 ~capacity:16 ~num_links:1 ~num_data:2 ~num_roots:0
         ()
@@ -245,32 +294,29 @@ let race_tests =
     ( Mm.arena mm,
       fun () ->
         let s = Oset.create mm ~tid:0 in
-        let keys = [ 10; 20; 30; 40 ] in
+        let tail = tail_of mm s in
+        let tail_ref = settled_ref mm tail in
         List.iter (fun k -> ignore (Oset.insert s ~tid:0 k k)) keys;
         let hist = Lincheck.History.create ~threads:2 in
-        let op tid o f =
-          ignore
-            (Lincheck.History.record hist ~tid o (fun () -> Set_ops.Bool (f ())))
-        in
-        let lookup tid k =
-          op tid (Set_ops.Mem k) (fun () ->
-              match Oset.lookup s ~tid k with
-              | Some v when v <> k -> failwith "lookup returned a wrong value"
-              | r -> r <> None)
+        let run tid = function
+          | Mem k -> (Set_ops.Mem k, fun () -> Oset.mem s ~tid k)
+          | Lookup k ->
+              ( Set_ops.Mem k,
+                fun () ->
+                  match Oset.lookup s ~tid k with
+                  | Some v when v <> k -> failwith "lookup: wrong value"
+                  | r -> r <> None )
+          | Insert k -> (Set_ops.Insert k, fun () -> Oset.insert s ~tid k k)
+          | Remove k -> (Set_ops.Remove k, fun () -> Oset.remove s ~tid k)
         in
         let body tid =
-          if tid = 0 then begin
-            op tid (Set_ops.Mem 40) (fun () -> Oset.mem s ~tid 40);
-            lookup tid 40;
-            op tid (Set_ops.Mem 20) (fun () -> Oset.mem s ~tid 20);
-            lookup tid 30
-          end
-          else
-            List.iter
-              (fun k ->
-                op tid (Set_ops.Remove k) (fun () -> Oset.remove s ~tid k);
-                op tid (Set_ops.Insert k) (fun () -> Oset.insert s ~tid k k))
-              [ 20; 30 ]
+          List.iter
+            (fun st ->
+              let o, f = run tid st in
+              ignore
+                (Lincheck.History.record hist ~tid o (fun () ->
+                     Set_ops.Bool (f ()))))
+            (if tid = 0 then reader else writer)
         in
         let check () =
           let pre =
@@ -293,33 +339,58 @@ let race_tests =
           ignore (Oset.clear s ~tid:0);
           flush mm;
           Mm.validate mm;
-          if Mm.free_count mm <> 14 then failwith "leak"
+          if Mm.free_count mm <> 14 then failwith "leak";
+          if settled_ref mm tail <> tail_ref then
+            failwith "tail sentinel's count unbalanced"
         in
         (body, check) )
   in
-  List.map
-    (fun scheme ->
-      tc (scheme ^ ": walk races a middle remove/reinsert (lincheck + oracle)")
-        (fun () ->
-          let mk = Analysis.Reclaim.instrument ~threads:2 (factory scheme) in
-          Analysis.Reclaim.with_oracle (fun () ->
-              sweep_ok ~runs:150 ~threads:2 mk;
-              match
-                (Sched.Explore.policy_sweep ~threads:2 ~runs:150
-                   ~policy:(fun i ->
-                     Sched.Policy.biased ~seed:(8_000 + i) ~victim:0 ~weight:24)
-                   mk)
-                  .failure
-              with
-              | None -> ()
-              | Some f ->
-                  Alcotest.failf "schedule violation: %s"
-                    (Sched.Explore.failure_message f))))
-    [ "wfrc"; "lfrc"; "hp"; "ebr" ]
+  race_sweep_ok factory
+
+let race_tests =
+  let beds =
+    [
+      (* a traversal hands its reference on [cur.next] forward while
+         the middle keys are removed and reinserted under it *)
+      ( "walk races a middle remove/reinsert",
+        [ "wfrc"; "lfrc"; "hp"; "ebr" ],
+        [ 10; 20; 30; 40 ],
+        [ Mem 40; Lookup 40; Mem 20; Lookup 30 ],
+        [ Remove 20; Insert 20; Remove 30; Insert 30 ] );
+      (* the reader stops on its target, and the writer may mark it
+         between the reader's key test and its uncounted mark read;
+         the reader's own remove of the key before it makes the
+         writer's unlink CAS fail, so the writer's adopting find must
+         itself stop on a marked node and unlink it *)
+      ( "stop-node mark read races a remove of the target",
+        [ "wfrc"; "lfrc"; "hp"; "ebr"; "wfrc_deferred" ],
+        [ 10; 20; 30; 40 ],
+        [ Mem 30; Remove 20; Lookup 30; Insert 20; Mem 30 ],
+        [ Remove 30; Insert 30; Remove 40; Insert 40 ] );
+      (* the reader's [succ] read of 10.next sees 20, and the writer's
+         remove of the last key makes its deref land on the tail: the
+         give-back path *)
+      ( "succ's deref lands on the tail after a last-key remove",
+        [ "wfrc"; "lfrc"; "hp"; "ebr"; "wfrc_deferred" ],
+        [ 10; 20 ],
+        [ Mem 30; Lookup 20; Mem 30; Lookup 30 ],
+        [ Remove 20; Insert 20; Remove 20; Insert 20 ] );
+    ]
+  in
+  List.concat_map
+    (fun (name, schemes, keys, reader, writer) ->
+      List.map
+        (fun scheme ->
+          tc
+            (Printf.sprintf "%s: %s (lincheck + oracle)" scheme name)
+            (fun () -> race_bed ~keys ~reader ~writer scheme))
+        schemes)
+    beds
 
 let suite =
   List.concat_map seq_tests all_schemes
   @ List.concat_map conc_tests all_schemes
   @ budget_tests
+  @ List.concat_map oom_tests all_schemes
   @ sim_tests
   @ race_tests

@@ -6,6 +6,8 @@ open Helpers
 module Queue_ = Structures.Queue
 module Model = Structures.Seqmodels.Queue_model
 module Mm = Mm_intf
+module Queue_ops = Lincheck.Specs.Queue_ops
+module Queue_check = Lincheck.Checker.Make (Queue_ops)
 
 let mk scheme ?(threads = 2) ?(capacity = 64) () =
   let cfg = small_cfg ~threads ~capacity ~num_roots:2 () in
@@ -140,18 +142,89 @@ let conc_tests scheme =
   ]
 
 (* Dequeue reads the tail root uncounted: only the head and the
-   sentinel's next link are dereferenced. *)
+   sentinel's next link are dereferenced. Enqueue reads [last.next]
+   uncounted: only the tail is dereferenced. *)
 let budget_tests =
+  let derefs mm f =
+    let ctr = Mm.counters mm in
+    let d0 = Atomics.Counters.(total ctr Deref) in
+    f ();
+    Atomics.Counters.(total ctr Deref) - d0
+  in
   [
     tc "wfrc: dequeue from a non-empty queue costs exactly 2 derefs"
       (fun () ->
         let mm, q = mk "wfrc" () in
         List.iter (Queue_.enqueue q ~tid:0) [ 1; 2 ];
-        let ctr = Mm.counters mm in
-        let d0 = Atomics.Counters.(total ctr Deref) in
-        check_bool "deq 1" true (Queue_.dequeue q ~tid:0 = Some 1);
-        check_int "derefs" 2 (Atomics.Counters.(total ctr Deref) - d0));
+        check_int "derefs" 2
+          (derefs mm (fun () ->
+               check_bool "deq 1" true (Queue_.dequeue q ~tid:0 = Some 1))));
+    tc "wfrc: enqueue on a non-lagging tail costs exactly 1 deref" (fun () ->
+        let mm, q = mk "wfrc" () in
+        Queue_.enqueue q ~tid:0 1;
+        check_int "derefs" 1 (derefs mm (fun () -> Queue_.enqueue q ~tid:0 2));
+        check_bool "FIFO" true (Queue_.drain q ~tid:0 = [ 1; 2 ]));
   ]
+
+(* The enqueuer on thread 0 reads [last.next] uncounted and may find
+   the tail lagging behind thread 1's enqueue, while thread 1 also
+   dequeues past the nodes it found. Every schedule must be
+   linearizable and, under the reclamation oracle, free of any access
+   to a reclaimed node. The biased half starves the enqueuer between
+   its read and its tail swing. *)
+let race_tests scheme =
+  let factory () =
+    let mm = mm_of scheme (small_cfg ~capacity:16 ~num_roots:2 ()) in
+    ( Mm.arena mm,
+      fun () ->
+        let q = Queue_.create mm ~head_root:0 ~tail_root:1 ~tid:0 in
+        let hist = Lincheck.History.create ~threads:2 in
+        let enq tid v =
+          ignore
+            (Lincheck.History.record hist ~tid (Queue_ops.Enq v) (fun () ->
+                 Queue_.enqueue q ~tid v;
+                 Queue_ops.Unit))
+        in
+        let deq tid =
+          ignore
+            (Lincheck.History.record hist ~tid Queue_ops.Deq (fun () ->
+                 match Queue_.dequeue q ~tid with
+                 | Some v -> Queue_ops.Value v
+                 | None -> Queue_ops.Empty))
+        in
+        let body tid =
+          if tid = 0 then begin
+            enq tid 1;
+            enq tid 2;
+            enq tid 3
+          end
+          else begin
+            enq tid 101;
+            deq tid;
+            enq tid 102;
+            deq tid;
+            deq tid
+          end
+        in
+        let check () =
+          let events = Lincheck.History.events hist in
+          if not (Queue_check.check events) then failwith "not linearizable";
+          let dequeued =
+            Array.to_list events
+            |> List.filter_map (fun (e : _ Lincheck.History.event) ->
+                   match e.res with Queue_ops.Value v -> Some v | _ -> None)
+          in
+          let all = List.sort compare (dequeued @ Queue_.drain q ~tid:0) in
+          if all <> [ 1; 2; 3; 101; 102 ] then failwith "values not conserved";
+          flush mm;
+          Mm.validate mm;
+          if Mm.free_count mm <> 15 then failwith "leak"
+        in
+        (body, check) )
+  in
+  tc
+    (Printf.sprintf "%s queue: enqueue meets a lagging tail (lincheck + oracle)"
+       scheme) (fun () -> race_sweep_ok factory)
 
 (* The dequeuer's uncounted tail read is scheme-generic, so both
    sweeps run on every scheme. *)
@@ -199,3 +272,4 @@ let suite =
   @ List.concat_map conc_tests [ "wfrc"; "lfrc"; "hp"; "ebr" ]
   @ budget_tests
   @ List.concat_map sim_tests all_schemes
+  @ List.map race_tests all_schemes

@@ -179,7 +179,21 @@ let sim_tests =
             (body, check)));
   ]
 
+(* Pop reads the top node's next word uncounted: only the top is
+   dereferenced. *)
+let budget_tests =
+  [
+    tc "wfrc: pop from a non-empty stack costs exactly 1 deref" (fun () ->
+        let mm, s = mk "wfrc" () in
+        List.iter (Stack.push s ~tid:0) [ 1; 2 ];
+        let ctr = Mm.counters mm in
+        let d0 = Atomics.Counters.(total ctr Deref) in
+        check_bool "pop 2" true (Stack.pop s ~tid:0 = Some 2);
+        check_int "derefs" 1 (Atomics.Counters.(total ctr Deref) - d0));
+  ]
+
 let suite =
   List.concat_map seq_tests all_schemes
   @ List.concat_map conc_tests [ "wfrc"; "lfrc"; "hp"; "ebr" ]
+  @ budget_tests
   @ sim_tests
