@@ -91,8 +91,8 @@ type t = {
    structure involved (queue: 1 link + 1 data; oset: 1 link + 2 data;
    skiplist: [levels] links + 3 data). *)
 let mm_config ?(backend = Atomics.Backend.Native) ?(shards = 1) ?(batch = 1)
-    ?defer ?(levels = 4) ~threads ~capacity ~max_actors ~buckets () =
-  Mm.config ~backend ~shards ~batch ?defer ~threads ~capacity
+    ?(levels = 4) ~threads ~capacity ~max_actors ~buckets () =
+  Mm.config ~backend ~shards ~batch ~threads ~capacity
     ~num_links:(max 1 levels) ~num_data:3
     ~num_roots:((2 * max_actors) + buckets + 1) ()
 

@@ -36,7 +36,6 @@ val mm_config :
   ?backend:Atomics.Backend.t ->
   ?shards:int ->
   ?batch:int ->
-  ?defer:int ->
   ?levels:int ->
   threads:int ->
   capacity:int ->

@@ -40,8 +40,6 @@ type event =
   | Recovery_adopt
   | Recovery_release
   | Oom_backpressure
-  | Rc_defer
-  | Rc_flush
 
 let all_events =
   [ Cas_attempt; Cas_failure; Faa; Swap; Read; Write; Deref; Deref_retry;
@@ -50,7 +48,7 @@ let all_events =
     Free_gave_help; Release; Node_reclaimed; Hp_scan; Epoch_advance;
     Lock_acquire; Cache_refill; Cache_spill; Free_remote; Steal;
     Park_wait; Park_wake; Recovery_adopt; Recovery_release;
-    Oom_backpressure; Rc_defer; Rc_flush ]
+    Oom_backpressure ]
 
 let event_index = function
   | Cas_attempt -> 0
@@ -86,8 +84,6 @@ let event_index = function
   | Recovery_adopt -> 30
   | Recovery_release -> 31
   | Oom_backpressure -> 32
-  | Rc_defer -> 33
-  | Rc_flush -> 34
 
 let num_events = List.length all_events
 
@@ -125,8 +121,6 @@ let event_name = function
   | Recovery_adopt -> "recovery_adopt"
   | Recovery_release -> "recovery_release"
   | Oom_backpressure -> "oom_backpressure"
-  | Rc_defer -> "rc_defer"
-  | Rc_flush -> "rc_flush"
 
 (* Row stride, per backend: events rounded up to a multiple of 16
    words under [Sim] (the historical padding — keeps rows line-pair

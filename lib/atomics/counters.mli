@@ -40,12 +40,6 @@ type event =
                          behalf during recovery *)
   | Oom_backpressure (** allocations that gave up with [Out_of_nodes]
                          after bounded waiting + a recovery attempt *)
-  | Rc_defer         (** rc mutations absorbed by a per-domain buffer
-                         (a buffered decrement, or a deref whose
-                         increment cancelled a buffered decrement) *)
-  | Rc_flush         (** per-domain rc-buffer flushes (any trigger:
-                         buffer-full, quiescence, [declare_dead],
-                         recovery, or the allocator's OOM path) *)
 
 val all_events : event list
 val event_name : event -> string

@@ -270,38 +270,6 @@ CAMLprim value caml_wfrc_deref_link(value vann, value varena, value vlink,
   return Val_long((intnat)n1);
 }
 
-/* Batched rc-buffer flush: ReleaseRef lines R1-R2 applied to a whole
- * per-domain decrement buffer in one crossing. vnodes is an OCaml int
- * array whose first [vn] entries are node handles with a pending
- * buffered decrement; geom = [| nodes_base; node_stride |] as in
- * take_fix (mm_ref is word 0 of a node block). For each entry:
- * FAA(-2) on its mm_ref, and if the count is now zero, claim with
- * CAS(0 -> 1). Claimed handles are compacted to the front of vnodes
- * (immediates — no write barrier); the caller finishes R3/FreeNode
- * for those in OCaml. Returns the number claimed. A ref offset
- * outside the buffer skips the entry defensively, as in take_fix. */
-CAMLprim value caml_wfrc_rc_flush(value vaw, value vnodes, value vn,
-                                  value vgeom)
-{
-  wfrc_words *aw = Words_val(vaw);
-  uintnat nodes_base = (uintnat)Long_val(Field(vgeom, 0));
-  uintnat node_stride = (uintnat)Long_val(Field(vgeom, 1));
-  intnat n = Long_val(vn);
-  intnat claimed = 0, i;
-  for (i = 0; i < n; i++) {
-    uintnat node = (uintnat)Long_val(Field(vnodes, i));
-    uintnat ref = nodes_base + (((node >> 1) - 1) * node_stride);
-    uintnat expected = 0;
-    if (ref >= aw->len) continue;
-    (void)__atomic_fetch_sub(aw->base + ref, 2, __ATOMIC_SEQ_CST); /* R1 */
-    if (__atomic_load_n(aw->base + ref, __ATOMIC_SEQ_CST) != 0) continue;
-    if (__atomic_compare_exchange_n(aw->base + ref, &expected, 1, 0, /* R2 */
-                                    __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST))
-      Field(vnodes, claimed++) = Val_long((intnat)node);
-  }
-  return Val_long(claimed);
-}
-
 /* Batched announcement scan (the H2/H3 read pass of CleanUp/HelpDeRef
  * done in one call). geom = [| idx_base; idx_stride; ra_base;
  * row_stride; slot_stride; n |], all in words. For each row id in

@@ -59,10 +59,6 @@ external unsafe_deref_link : raw -> raw -> int -> int -> int array -> int
   = "caml_wfrc_deref_link"
 [@@noalloc]
 
-external unsafe_rc_flush : raw -> int array -> int -> int array -> int
-  = "caml_wfrc_rc_flush"
-[@@noalloc]
-
 type t = { raw : raw; len : int }
 
 let make len =
@@ -145,15 +141,6 @@ let[@inline] deref_link t ~arena ~link ~enc ~ctx =
   check t ctx.(4);
   check t (ctx.(4) + ((n - 1) * stride));
   unsafe_deref_link t.raw arena.raw link enc ctx
-
-(* Batched rc-buffer flush (R1-R2 per buffered decrement, claimed
-   handles compacted to the front of [nodes]). The stub re-checks each
-   computed ref offset, so the only wrapper obligation is the array
-   bound on [n]. *)
-let rc_flush t ~nodes ~n ~geom =
-  if n < 0 || n > Array.length nodes then invalid_arg "Words.rc_flush";
-  if Array.length geom <> 2 then invalid_arg "Words.rc_flush: geom";
-  unsafe_rc_flush t.raw nodes n geom
 
 (* [geom] layout: [| idx_base; idx_stride; ra_base; row_stride;
    slot_stride; n |]. Validated once here so the stub's own guards are

@@ -89,15 +89,6 @@ val deref_link : t -> arena:t -> link:int -> enc:int -> ctx:int array -> int
     slot in [ctx]. If every busy word is non-zero, nothing is written
     but slot [-1], and 0 is returned. *)
 
-val rc_flush : t -> nodes:int array -> n:int -> geom:int array -> int
-(** [rc_flush t ~nodes ~n ~geom]: batched rc-buffer flush — R1–R2
-    applied to each of the first [n] node handles in [nodes] (each one
-    buffered decrement): FAA its [mm_ref] by [-2] and, if the count is
-    then zero, claim with CAS(0 → 1). Claimed handles are compacted to
-    the front of [nodes]; returns how many. The caller finishes R3 and
-    FreeNode for the claimed nodes. [geom] is
-    [| nodes_base; node_stride |] as in {!take_fix}. *)
-
 val ann_scan : t -> geom:int array -> from:int -> int -> int
 (** [ann_scan t ~geom ~from target] is the batched announcement-row
     scan: for each row [id] in [from..n-1] it loads the row's slot

@@ -91,13 +91,7 @@ type t = {
      AllocNode from wait-free to lock-free *)
   caches : tcache array option; (* per-thread caches when sharded *)
   batch : int;
-  defer : Rcbuf.t option;
-  (* per-thread rc-decrement buffers ([cfg.defer] > 0): the
-     deferred-rc variant parks ReleaseRef decrements locally and only
-     touches the shared mm_ref words at flush time (buffer-full, the
-     A7 OOM path, [declare_dead], recovery, or quiescent inspection).
-     [None] — every eager scheme — keeps the legacy code byte-exact. *)
-  dead : bool array;
+  dead : Mm_intf.Dead.t;
   (* tids declared permanently stopped (Mm_intf.declare_dead); set by
      the harness/supervisor, consulted by [recover] and the A7
      bounded-wait OOM path *)
@@ -180,10 +174,7 @@ let create ?(help_alloc = true) (cfg : Mm_intf.config) =
                 { cslots = Array.make (2 * cfg.batch) Value.null; clen = 0 }))
        else None);
     batch = cfg.batch;
-    defer =
-      (if cfg.defer > 0 then Some (Rcbuf.create ~threads:n ~cap:cfg.defer)
-       else None);
-    dead = Array.make n false;
+    dead = Mm_intf.Dead.create n;
     recovering = false;
     adopt_lock = Atomic.make 0;
     work =
@@ -223,66 +214,7 @@ let work_push t ~tid sp v =
    unchanged. *)
 let rec release t ~tid node =
   C.incr t.ctr ~tid Release;
-  match t.defer with
-  | Some b when not t.recovering ->
-      (* Deferred variant: R1 becomes a local append — the shared
-         mm_ref keeps an over-approximation (2 per buffered entry), so
-         the R2 claim point can only be postponed, never forged. The
-         engine below stays eager for flushes, cascades and the
-         recovery callbacks. *)
-      C.incr t.ctr ~tid Rc_defer;
-      if Rcbuf.defer_release b ~tid (Value.unmark node) then flush t ~tid
-  | _ -> release_work t ~tid (work_push t ~tid 0 (Value.unmark node))
-
-(* Flush one thread's rc buffer through the R1–R4 engine, oldest entry
-   first. The [Native] arm batches every R1–R2 into one stub crossing
-   ({!Atomics.Words.rc_flush}) and finishes R3/FreeNode here; the
-   [Sim] arm issues the identical per-word sequence through
-   [release_collect]. Claim outcomes and free-push order agree between
-   the arms (all of a flush's decrements land before any claimed
-   node's cascade can re-examine a count), so traces and counter
-   totals are backend-independent. *)
-and flush t ~tid =
-  match t.defer with
-  | Some b when Rcbuf.len b ~tid > 0 -> (
-      C.incr t.ctr ~tid Rc_flush;
-      let row = Rcbuf.row b ~tid in
-      let n = Rcbuf.clear b ~tid in
-      match t.fused with
-      | Some f ->
-          let claimed = Words.rc_flush f.aw ~nodes:row ~n ~geom:f.node_geom in
-          flush_claimed t ~tid ~row ~claimed 0
-      | None -> flush_seq t ~tid ~row ~n 0)
-  | _ -> ()
-
-and flush_seq t ~tid ~row ~n i =
-  if i < n then begin
-    release_work t ~tid (work_push t ~tid 0 row.(i));
-    flush_seq t ~tid ~row ~n (i + 1)
-  end
-
-(* Finish the claimed nodes of a batched flush: R3's collect-and-clear
-   (mirroring [release_collect]'s link order), then R4's FreeNode and
-   the reclamation cascade — the same per-node steps [release_work]
-   runs on its claimed branch. *)
-and flush_claimed t ~tid ~row ~claimed i =
-  if i < claimed then begin
-    let node = row.(i) in
-    let nl = t.cfg.num_links in
-    let collected = ref 0 in
-    for j = 0 to nl - 1 do
-      let v = Arena.read_clear_link t.arena node j in
-      if not (Value.is_null v) then begin
-        t.scratch.(tid).(!collected) <- v;
-        incr collected
-      end
-    done;
-    let sp = push_collected t ~tid ~k:0 ~collected:!collected 0 in
-    C.incr t.ctr ~tid Node_reclaimed;
-    free_node t ~tid node;
-    release_work t ~tid sp;
-    flush_claimed t ~tid ~row ~claimed (i + 1)
-  end
+  release_work t ~tid (work_push t ~tid 0 (Value.unmark node))
 
 and release_work t ~tid sp =
   if sp > 0 then begin
@@ -472,19 +404,9 @@ let rec alloc_loop t ~tid ~help_id ~helped ~empty_scans =
                ~nw:((current + 1) mod (2 * t.n)));
           if empty_scans + 1 > t.oom_scan_limit then begin
             (* Exhausted every list [oom_scan_limit] times over. The
-               deferred variant first flushes its own rc buffer —
-               pending decrements may be holding reclaimable nodes
-               hostage — and rescans; the buffer is empty after one
-               flush, so this retries at most once per refill. Then
-               the legacy/Sim config keeps the hard stop; the sharded
+               legacy/Sim config keeps the hard stop; the sharded
                config first adopts dead peers' caches, then surfaces
                typed backpressure instead of an unbounded spin. *)
-            match t.defer with
-            | Some b when Rcbuf.len b ~tid > 0 ->
-                flush t ~tid;
-                C.incr t.ctr ~tid Alloc_retry;
-                alloc_loop t ~tid ~help_id ~helped ~empty_scans:0
-            | _ -> (
             match t.caches with
             | Some _ when adopt_dead_caches t ~tid > 0 ->
                 C.incr t.ctr ~tid Alloc_retry;
@@ -494,7 +416,7 @@ let rec alloc_loop t ~tid ~help_id ~helped ~empty_scans =
                 raise
                   (Mm_intf.Out_of_nodes
                      { retries = empty_scans + 1; waits = 0 })
-            | None -> raise Mm_intf.Out_of_memory)
+            | None -> raise Mm_intf.Out_of_memory
           end
           else begin
             C.incr t.ctr ~tid Alloc_retry;
@@ -556,30 +478,19 @@ let alloc t ~tid =
 (* D1–D6: announce the link, read it, count the reference, retract.
    Returns D6's word [n1]; the node D4 read and the slot D1 chose are
    left in words 0 and 1 of the thread's context. Under [Native] the
-   eager schemes run the six steps in one stub crossing
-   ({!Ann.deref_fused}); [Sim] and the deferred variant issue them one
-   by one. D2 skips its store when the index already holds the slot,
-   in both arms alike. *)
+   six steps run in one stub crossing ({!Ann.deref_fused}); [Sim]
+   issues them one by one. D2 skips its store when the index already
+   holds the slot, in both arms alike. *)
 let announce_read t ~tid link =
   let ctx = t.dctx.(tid) in
-  match (t.fused, t.defer) with
-  | Some f, None -> Ann.deref_fused t.ann ~arena:f.aw ~ctx link
-  | _ ->
+  match t.fused with
+  | Some f -> Ann.deref_fused t.ann ~arena:f.aw ~ctx link
+  | None ->
       let slot = Ann.choose_slot t.ann ~tid in                      (* D1 *)
       Ann.set_index t.ann ~tid slot;                                (* D2 *)
       Ann.announce t.ann ~tid ~slot link;                           (* D3 *)
       let node = Arena.read t.arena link in                         (* D4 *)
-      (* D5, with increment sponging under the deferred variant: a +2
-         whose target has a pending decrement in the CALLER'S OWN
-         buffer annihilates that entry locally instead of touching the
-         shared word — sound because the pending entry itself proves
-         the shared count over-approximates by 2, so the node cannot
-         have been claimed. A miss falls through to the eager FAA. *)
-      (if not (Value.is_null node) then
-         match t.defer with
-         | Some b when Rcbuf.cancel b ~tid (Value.unmark node) ->
-             C.incr t.ctr ~tid Rc_defer
-         | _ -> Arena.faa_mm_ref t.arena node 2);                   (* D5 *)
+      if not (Value.is_null node) then Arena.faa_mm_ref t.arena node 2; (* D5 *)
       ctx.(0) <- node;
       ctx.(1) <- slot;
       Ann.retract t.ann ~tid ~slot                                  (* D6 *)
@@ -655,18 +566,6 @@ let fix_ref t node fix =
 
 (* ---------------- Quiescent inspection ----------------------------- *)
 
-(* Quiescence is a flush trigger: drain every thread's rc buffer so
-   a quiescent check reads the true counts (a free node carries
-   mm_ref = 1 only once the decrements parked against it have
-   landed). Quiescent-only, like the walk below. *)
-let flush_all t =
-  match t.defer with
-  | Some _ ->
-      for id = 0 to t.n - 1 do
-        flush t ~tid:id
-      done
-  | None -> ()
-
 (* The one quiescent walk: the accounting snapshot the post-run
    auditor, [validate] and [free_count] all read. Never raises,
    reporting structural damage as violation strings instead.
@@ -717,61 +616,15 @@ let custody t =
   let pinned =
     List.map (fun (tid, p) -> (tid, Value.handle p)) (Ann.answers t.ann)
   in
-  (* In-buffer pending decrements are their own custody class — the
-     snapshot must NOT flush (it is taken over crashed runs), so the
-     auditor sees exactly what each thread still owes the shared
-     counts. A buffered decrement on a free-chain node would mean the
-     claim fired while a decrement was still owed: structural
-     damage. *)
-  let deferred =
-    match t.defer with
-    | None -> []
-    | Some b ->
-        List.map
-          (fun (tid, p) ->
-            let h = Value.handle p in
-            if h >= 1 && h <= cap && free.(h) then
-              violation "rc buffer[%d] entry #%d is on a free chain" tid h;
-            (tid, h))
-          (Rcbuf.entries b)
-  in
   Mm_intf.
-    {
-      free;
-      pending = !pending;
-      pinned;
-      deferred;
-      violations = List.rev !violations;
-    }
+    { free; pending = !pending; pinned; violations = List.rev !violations }
 
-let free_count t =
-  flush_all t;
-  Mm_intf.count_free (custody t)
+let free_count t = Mm_intf.count_free (custody t)
 
 (* ---------------- Crash recovery (quiescent-survivors) ------------- *)
 
-let declare_dead t ~tid =
-  if tid < 0 || tid >= t.n then invalid_arg "Gc.declare_dead";
-  t.dead.(tid) <- true;
-  (* Adopt-and-drain the dead thread's rc buffer at once: its pending
-     decrements can never flush themselves again, and leaving them
-     parked would hold the over-approximated counts (and any
-     reclaimable nodes behind them) hostage. The owner is stopped, so
-     working on its row/stacks is single-writer; counters attribute
-     the drain to the dead tid. Donation stays suppressed like in
-     [recover]: the drained nodes must reach allocator custody
-     (free-lists/caches), not sit pending in a live annAlloc cell. *)
-  let was = t.recovering in
-  t.recovering <- true;
-  Fun.protect ~finally:(fun () -> t.recovering <- was) @@ fun () ->
-  flush t ~tid
-
-let dead t =
-  let acc = ref [] in
-  for id = t.n - 1 downto 0 do
-    if t.dead.(id) then acc := id :: !acc
-  done;
-  !acc
+let declare_dead t ~tid = Mm_intf.Dead.declare t.dead ~scheme:"Gc" ~tid
+let dead t = Mm_intf.Dead.to_list t.dead
 
 (* Finish the free a crashed thread never ran: clear the links as R3
    would (releasing their targets), restore the claimed count, and
@@ -788,7 +641,7 @@ let revive t ~tid node =
   free_node t ~tid node
 
 let recover t ~tid =
-  if not (Array.exists Fun.id t.dead) then Mm_intf.no_recovery
+  if not (Mm_intf.Dead.any t.dead) then Mm_intf.no_recovery
   else begin
     (* The own-cell hand-off stays suppressed for the whole pass
        (A11-A12 receipts only come from allocations, which a recovery
@@ -798,11 +651,6 @@ let recover t ~tid =
     t.recovering <- true;
     Fun.protect ~finally:(fun () -> t.recovering <- false) @@ fun () ->
     let adopted = ref 0 and released = ref 0 and cleared = ref 0 in
-    (* 0. Drain every rc buffer (dead rows were already drained by
-       [declare_dead]; survivor rows must empty too) so the
-       [Rc_anomaly] fixpoint below analyses true counts — a pending
-       decrement would read as crash-held surplus on a live node. *)
-    flush_all t;
     (* 1. Dead announcement rows first: an un-retracted answer holds a
        reference acquired on the dead announcer's behalf (H6), which
        would read as surplus on a live node in step 2. *)
@@ -856,7 +704,6 @@ let recover t ~tid =
    parked nodes without their §6.0 inflation, global indices out of
    range. *)
 let validate t =
-  flush_all t;
   let c = custody t in
   Mm_intf.check_custody ~arena:t.arena ~refcounted:true c;
   Ann.validate t.ann;

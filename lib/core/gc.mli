@@ -55,15 +55,13 @@ val custody : t -> Mm_intf.custody
     {!free_count} all read: free chains and domain-local caches walked
     defensively (damage reported in [violations], never raised),
     [annAlloc] donations as [pending] under the cell owner,
-    unretracted announcement answers as [pinned] by the announcer,
-    buffered decrements as [deferred]. Never flushes. *)
+    unretracted announcement answers as [pinned] by the announcer. *)
 
 val free_count : t -> int
-(** Drain every rc buffer, then {!Mm_intf.count_free} over
-    {!custody}: free nodes plus [annAlloc] donations. *)
+(** {!Mm_intf.count_free} over {!custody}: free nodes plus [annAlloc] donations. *)
 
 val validate : t -> unit
-(** Drain every rc buffer, then {!Mm_intf.check_custody} over
+(** {!Mm_intf.check_custody} over
     {!custody} (free chains acyclic and disjoint with [mm_ref = 1],
     allocated nodes with even non-negative counts), then the
     quiescence residue: announcement pool clear, donated nodes with

@@ -17,11 +17,3 @@ module Gc : module type of Gc
 module Ann : module type of Ann
 
 include Mm_intf.S with type t = Gc.t
-
-module Deferred : Mm_intf.S with type t = Gc.t
-(** The deferred-rc variant ([wfrc_deferred]): the same engine with
-    per-domain decrement buffers on the ReleaseRef fast path and
-    increment sponging in DeRefLink, flushed at buffer-full,
-    quiescence, [declare_dead], recovery and the allocator's OOM path
-    (DESIGN.md §6.3). Configs leaving [defer] at 0 get a per-thread
-    buffer of 16 decrements; an explicit [defer] overrides it. *)

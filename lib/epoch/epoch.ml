@@ -42,7 +42,7 @@ type t = {
   store : Freestore.t option; (* sharded Native free store (else legacy) *)
   threads : per_thread array;
   advance_every : int;
-  dead : bool array; (* tids declared permanently stopped *)
+  dead : Mm_intf.Dead.t; (* tids declared permanently stopped *)
 }
 
 let name = "ebr"
@@ -96,19 +96,11 @@ let create (cfg : Mm_intf.config) =
             ops = 0;
           });
     advance_every = 4;
-    dead = Array.make cfg.threads false;
+    dead = Mm_intf.Dead.create cfg.threads;
   }
 
-let declare_dead t ~tid =
-  if tid < 0 || tid >= t.cfg.threads then invalid_arg "Epoch.declare_dead";
-  t.dead.(tid) <- true
-
-let dead t =
-  let acc = ref [] in
-  for id = t.cfg.threads - 1 downto 0 do
-    if t.dead.(id) then acc := id :: !acc
-  done;
-  !acc
+let declare_dead t ~tid = Mm_intf.Dead.declare t.dead ~scheme:"Epoch" ~tid
+let dead t = Mm_intf.Dead.to_list t.dead
 
 let pool_push t ~tid node =
   Mm_intf.Events.emit ~tid node Mm_intf.Events.Free;
@@ -330,7 +322,6 @@ let custody t =
       free;
       pending = !pending;
       pinned = [];
-      deferred = [];
       violations = List.rev !violations;
     }
 
@@ -345,7 +336,7 @@ let free_count t = Mm_intf.count_free (custody t)
    node outside every bag, where only a root-marking pass can find
    it. *)
 let recover t ~tid =
-  if not (Array.exists Fun.id t.dead) then Mm_intf.no_recovery
+  if not (Mm_intf.Dead.any t.dead) then Mm_intf.no_recovery
   else begin
     let adopted = ref 0 and cleared = ref 0 in
     let me = t.threads.(tid) in

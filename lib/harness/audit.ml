@@ -2,7 +2,7 @@
 
    Takes a quiescent memory-manager instance — possibly one in which
    some threads crashed mid-operation under a [Sched.Fault] plan — and
-   partitions every node in the arena into six classes:
+   partitions every node in the arena into five classes:
 
      Free          in the scheme's free store, allocatable now
      Reachable     live: reachable from the arena's root links
@@ -11,14 +11,6 @@
      Crash_held    stranded by a crashed thread: pinned by its
                    published protections, parked under it, or kept
                    alive only by references it still holds
-     Deferred      kept above zero only by decrements still sitting in
-                   a surviving thread's rc buffer (DESIGN.md §6.3):
-                   reclaimable at that thread's next flush. Closed
-                   transitively over link slots, like [Crash_held]:
-                   the flush that claims the buffered node cascades
-                   through everything it still links to, so a dead
-                   chain hanging off one parked decrement is
-                   flush-reclaimable end to end, not leaked.
      Leaked        none of the above — unreachable, unattributable,
                    and irrecoverable: an audit failure
 
@@ -58,7 +50,6 @@ type report = {
   reachable : int;
   pending_live : int;
   crash_held : int;
-  deferred : int;
   leaked : int;
   lost : int;          (* capacity - free - reachable *)
   loss_bound : int;    (* 0 when no thread crashed *)
@@ -72,11 +63,11 @@ let ok r =
 let to_string r =
   Printf.sprintf
     "audit[%s] cap=%d threads=%d crashed=[%s] free=%d reachable=%d \
-     pending=%d crash_held=%d deferred=%d leaked=%d lost=%d bound=%d \
+     pending=%d crash_held=%d leaked=%d lost=%d bound=%d \
      recovered=%d violations=[%s] %s"
     r.scheme r.capacity r.threads
     (String.concat "," (List.map string_of_int r.crashed))
-    r.free r.reachable r.pending_live r.crash_held r.deferred r.leaked
+    r.free r.reachable r.pending_live r.crash_held r.leaked
     r.lost r.loss_bound r.recovered
     (String.concat "; " r.violations)
     (if ok r then "OK" else "FAIL")
@@ -121,20 +112,6 @@ let run ?(crashed = []) ?loss_bound (inst : Mm.instance) =
       else pending_owner.(h) <- tid)
     pending;
   let is_pending h = pending_owner.(h) >= 0 in
-  (* Decrements parked in per-thread rc buffers (DESIGN.md §6.3). Each
-     entry keeps the node's shared count inflated by exactly 2 units
-     until the owning thread flushes; duplicates are legal (the same
-     node released twice from one thread before a flush). *)
-  let deferred_count = Array.make (cap + 1) 0 in
-  let deferred_crashed = Array.make (cap + 1) false in
-  List.iter
-    (fun (tid, h) ->
-      if h < 1 || h > cap then violation "deferred handle #%d out of range" h
-      else begin
-        deferred_count.(h) <- deferred_count.(h) + 1;
-        if is_crashed tid then deferred_crashed.(h) <- true
-      end)
-    c.Mm.deferred;
   (* --- Reachability from the root links ----------------------------- *)
   let reach = Array.make (cap + 1) false in
   let num_links = Shmem.Layout.num_links (Arena.layout arena) in
@@ -215,16 +192,6 @@ let run ?(crashed = []) ?loss_bound (inst : Mm.instance) =
           violation "claimed node #%d has even mm_ref=%d" h r
       end
       else begin
-        (* A buffered decrement keeps the shared count inflated by 2
-           units it no longer deserves; discount them before the
-           conservation checks so a node awaiting a flush is neither a
-           surplus nor masks a genuine deficit. *)
-        let r = r - (2 * deferred_count.(h)) in
-        if r < 0 then
-          violation
-            "node #%d mm_ref=%d below its %d buffered decrement(s)" h
-            (r + (2 * deferred_count.(h)))
-            deferred_count.(h);
         excess.(h) <- r - inbound.(h);
         odd.(h) <- r land 1 = 1;
         zombie.(h) <- r = 0 && inbound.(h) = 0;
@@ -258,11 +225,6 @@ let run ?(crashed = []) ?loss_bound (inst : Mm.instance) =
     in
     List.iter (fun (tid, h) -> if is_crashed tid then seed h) pinned;
     List.iter (fun (tid, h) -> if is_crashed tid then seed h) pending;
-    (* Decrements stranded in a crashed thread's rc buffer hold their
-       nodes exactly like references it still owns. *)
-    for h = 1 to cap do
-      if deferred_crashed.(h) then seed h
-    done;
     if refcounted then
       for h = 1 to cap do
         if
@@ -298,68 +260,17 @@ let run ?(crashed = []) ?loss_bound (inst : Mm.instance) =
     in
     close !seeds
   end;
-  (* --- Deferred closure ---------------------------------------------- *)
-  (* A node whose reclamation waits on a buffered decrement keeps its
-     whole link-successor region waiting with it: the flush that
-     finally claims it cascades through every link it still holds
-     (R3), so those successors are flush-reclaimable too, not leaked.
-     Close the class over link slots exactly like the crash closure
-     above (crash attribution wins: a node already stranded by a
-     crashed thread stays [Crash_held]). *)
-  let deferred_held = Array.make (cap + 1) false in
-  if c.Mm.deferred <> [] then begin
-    let seeds = ref [] in
-    for h = 1 to cap do
-      if
-        deferred_count.(h) > 0
-        && (not (free h))
-        && (not reach.(h))
-        && not crash_held.(h)
-      then begin
-        deferred_held.(h) <- true;
-        seeds := h :: !seeds
-      end
-    done;
-    let rec close = function
-      | [] -> ()
-      | h :: rest ->
-          let next = ref rest in
-          if not (is_pending h) then begin
-            let p = Value.of_handle h in
-            for i = 0 to num_links - 1 do
-              let v = Arena.read_link arena p i in
-              if not (Value.is_null v) then begin
-                let h' = Value.handle (Value.unmark v) in
-                if
-                  h' >= 1 && h' <= cap
-                  && (not (free h'))
-                  && (not reach.(h'))
-                  && (not crash_held.(h'))
-                  && not deferred_held.(h')
-                then begin
-                  deferred_held.(h') <- true;
-                  next := h' :: !next
-                end
-              end
-            done
-          end;
-          close !next
-    in
-    close !seeds
-  end;
   (* --- Partition ----------------------------------------------------- *)
   let n_free = ref 0
   and n_reach = ref 0
   and n_pending = ref 0
   and n_crash = ref 0
-  and n_deferred = ref 0
   and n_leaked = ref 0 in
   for h = 1 to cap do
     if free h then incr n_free
     else if reach.(h) then incr n_reach
     else if crash_held.(h) then incr n_crash
     else if is_pending h then incr n_pending
-    else if deferred_held.(h) then incr n_deferred
     else incr n_leaked
   done;
   let loss_bound =
@@ -376,7 +287,6 @@ let run ?(crashed = []) ?loss_bound (inst : Mm.instance) =
     reachable = !n_reach;
     pending_live = !n_pending;
     crash_held = !n_crash;
-    deferred = !n_deferred;
     leaked = !n_leaked;
     lost = cap - !n_free - !n_reach;
     loss_bound;
@@ -391,13 +301,10 @@ let run ?(crashed = []) ?loss_bound (inst : Mm.instance) =
    via [run ~loss_bound:...]. [None] for schemes whose loss is
    unbounded by design (ebr: the crashed thread pins the epoch and
    the stranding grows with survivor work). *)
-let envelope ?(defer = 0) ~scheme ~threads ~crashes () =
+let envelope ~scheme ~threads ~crashes () =
   let per_crash =
     match scheme with
     | "wfrc" -> Some ((2 * threads) - 1)
-    (* eager wfrc envelope plus up to [defer] decrements stranded in
-       the crashed thread's rc buffer, each holding one node *)
-    | "wfrc_deferred" -> Some ((2 * threads) - 1 + defer)
     | "lfrc" | "lockrc" -> Some (2 * threads)
     | "hp" -> Some (threads * (threads + 1))
     | _ -> None

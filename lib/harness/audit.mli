@@ -25,13 +25,6 @@ type report = {
       (** stranded by a crashed thread: its custody entries, its
           published pins, its surplus references, and everything those
           nodes link to *)
-  deferred : int;
-      (** kept allocated only by decrements still parked in surviving
-          threads' rc buffers (DESIGN.md §6.3), plus — closed over
-          link slots like [crash_held] — everything those nodes still
-          link to: the claiming flush cascades through the whole
-          region, so it is reclaimable at the owners' next flush, not
-          a failure *)
   leaked : int;             (** none of the above — an audit failure *)
   lost : int;               (** [capacity - free - reachable] *)
   loss_bound : int;
@@ -54,15 +47,11 @@ val ok : report -> bool
 (** No violations, nothing leaked, crash-held within the bound. *)
 
 val envelope :
-  ?defer:int -> scheme:string -> threads:int -> crashes:int -> unit ->
-  int option
+  scheme:string -> threads:int -> crashes:int -> unit -> int option
 (** Tighter per-scheme crash-loss envelopes, calibrated on the seeded
     E12 grid and pinned as regressions in test/t_fault.ml — e.g. wfrc
     strands at most [2N-1] nodes per crash there, far under the
-    default Theorem-1 envelope. For ["wfrc_deferred"] pass [defer]
-    (the scheme's rc-buffer capacity, default 0): a crashed thread
-    additionally strands at most one node per buffered decrement.
-    [None] when the scheme's loss is unbounded by design (ebr).
+    default Theorem-1 envelope. [None] when the scheme's loss is unbounded by design (ebr).
     Opt-in: pass as [run]'s [loss_bound]. *)
 
 val check : report -> unit

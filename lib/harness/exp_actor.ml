@@ -176,8 +176,8 @@ let service_leg spine ~scheme ~threads ~actors ~ops ~seed =
         traffic svc ~tid ~rng:rngs.(tid) ~n:counts.(tid) ~published
           ~max_actors:actors ~hist:hists.(tid) ~clock:Runner.now_ns ())
   in
-  (* Flush per-thread residue (deferred decrement buffers, epoch
-     advances) before the audit — the workers are gone. *)
+  (* Flush per-thread residue (epoch advances) before the audit — the
+     workers are gone. *)
   drain_survivors mm ~survivors:(List.init threads Fun.id);
   let probe = Service.probe svc ~tid:0 in
   let t = Service.totals svc in
@@ -630,7 +630,7 @@ let specs =
       (fun { Exp.quick } ->
         if quick then
           e18
-            ~schemes:[ "wfrc"; "hp"; "wfrc_deferred" ]
+            ~schemes:[ "wfrc"; "hp" ]
             ~threads_list:[ 2 ] ~ops:60_000 ~chaos_seeds:1 ~chaos_threads:3
             ~chaos_actors:256 ~chaos_ops:8_000 ~sim_seeds:1
             ~million_schemes:[] ()

@@ -18,11 +18,7 @@ open Exp_support
 (* is exhausted.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* E12/E13 default to the seeded scheme set: their reports embed
-   cross-scheme Spine totals, so adding a scheme to the default sweep
-   would perturb the seeded baselines. wfrc_deferred is audited under
-   crashes by E16, the chaos tests and E17 instead. *)
-let e12 ?(schemes = Registry.seeded_names) ?(ops_list = [ 8; 24; 72 ])
+let e12 ?(schemes = Registry.names) ?(ops_list = [ 8; 24; 72 ])
     ?(seeds = 10)
     ?(seed = 43_000) () =
   let threads = 3 and capacity = 48 in
@@ -165,7 +161,7 @@ let e12 ?(schemes = Registry.seeded_names) ?(ops_list = [ 8; 24; 72 ])
 (* lock. The auditor confirms nothing is lost once the stall ends.    *)
 (* ------------------------------------------------------------------ *)
 
-let e13 ?(schemes = Registry.seeded_names) ?(ks = [ 1; 2 ]) ?(ops = 12)
+let e13 ?(schemes = Registry.names) ?(ks = [ 1; 2 ]) ?(ops = 12)
     ?(seeds = 8)
     ?(seed = 47_000) () =
   let threads = 4 and capacity = 32 in
@@ -525,7 +521,7 @@ let e16 ?(schemes = Registry.names) ?(ops = 24) ?(native_ops = 2_000)
     ?(seeds = 6) ?(native_seeds = 3) ?(seed = 53_000) () =
   let spine = Spine.create () in
   let rows = ref [] in
-  let oom_schemes = [ "wfrc"; "lfrc"; "lockrc"; "wfrc_deferred" ] in
+  let oom_schemes = [ "wfrc"; "lfrc"; "lockrc" ] in
   List.iter
     (fun scheme ->
       rows := e16_row scheme "sim" (e16_sim spine scheme ~ops ~seeds ~seed)

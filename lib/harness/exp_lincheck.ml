@@ -362,46 +362,6 @@ let e7 ?(runs = 300) ?(seed = 23_000) () =
       ]
     rows
 
-(* E7D: the full E7 bed matrix over wfrc_deferred. A separate report
-   id — not extra E7 rows — so E7's seeded output stays bit-identical
-   while the deferred variant earns the same linearizability evidence
-   on every bed (the buffered release/cancel fast paths replace the
-   shared-count R1/D5 crossings; Definition 1 must survive that). *)
-let e7d ?(runs = 300) ?(seed = 23_000) () =
-  let spine = Spine.create () in
-  let s = "wfrc_deferred" in
-  let rows =
-    [
-      describe "link-semantics" s (e7_links ~spine ~scheme:s ~runs ~seed);
-      describe "alloc-multiset" s (e7_alloc ~spine ~scheme:s ~runs ~seed);
-      describe "stack-LIFO" s (e7_stack ~spine ~scheme:s ~runs ~seed);
-      describe "queue-FIFO" s (e7_queue ~spine ~scheme:s ~runs ~seed);
-      describe "pqueue-min" s (e7_pqueue ~spine ~scheme:s ~runs ~seed);
-      describe "oset" s (e7_oset ~spine ~scheme:s ~runs ~seed);
-    ]
-  in
-  Report.make ~id:"E7D"
-    ~title:
-      "linearizability sweeps for wfrc_deferred (all E7 beds under \
-       the deferred-buffer protocol)"
-    ~cols:
-      [
-        Report.dim "object";
-        Report.dim "scheme";
-        Report.measure "schedules";
-        Report.measure "violations";
-      ]
-    ~counters:(Spine.totals spine)
-    ~meta:
-      (Report.meta ~seed ~params:[ ("runs", string_of_int runs) ] ())
-    ~notes:
-      [
-        "same Wing–Gong check as E7; the deferred fast paths add no \
-         scheduling points of their own, so any violation here is a \
-         protocol bug, not a schedule-coverage artifact";
-      ]
-    rows
-
 (* ------------------------------------------------------------------ *)
 (* E8: exhaustion behaviour (paper footnote 4).                       *)
 (* ------------------------------------------------------------------ *)
@@ -486,9 +446,6 @@ let specs =
     Exp.spec ~id:"e7"
       ~descr:"linearizability sweeps (Definition 1, Lemmas 2-5)"
       (fun { Exp.quick } -> if quick then e7 ~runs:60 () else e7 ());
-    Exp.spec ~id:"e7d"
-      ~descr:"linearizability sweeps for wfrc_deferred (all E7 beds)"
-      (fun { Exp.quick } -> if quick then e7d ~runs:60 () else e7d ());
     Exp.spec ~id:"e8" ~descr:"exhaustion/OOM behaviour (footnote 4)"
       (fun { Exp.quick } ->
         if quick then e8 ~threads_list:[ 1; 2 ] () else e8 ());

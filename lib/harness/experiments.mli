@@ -53,10 +53,6 @@ val e7 : ?runs:int -> ?seed:int -> unit -> Report.t
 (** Linearizability sweeps (Wing–Gong check per schedule) for link
     semantics, the alloc multiset, stack, queue and priority queue. *)
 
-val e7d : ?runs:int -> ?seed:int -> unit -> Report.t
-(** E7's full bed matrix over [wfrc_deferred] (separate report id so
-    E7's seeded output stays bit-identical). *)
-
 val e8 : ?threads_list:int list -> ?capacity:int -> unit -> Report.t
 (** Exhaustion behaviour: OOM detection (footnote 4) and node
     conservation. *)
@@ -158,21 +154,6 @@ val e16 :
     leg exhausts the sharded store against a crashed holder:
     allocation must surface typed [Mm_intf.Out_of_nodes] backpressure,
     and dead-cache adoption alone must unblock it. *)
-
-val e17 :
-  ?schemes:string list ->
-  ?reads_list:int list ->
-  ?threads:int ->
-  ?capacity:int ->
-  ?ops:int ->
-  ?seeds:int ->
-  ?seed:int ->
-  unit ->
-  Report.t
-(** Read-heavy rc traffic: arena FAA counts for eager wfrc vs
-    wfrc_deferred under the reclamation oracle (DESIGN.md §6.3). A
-    tier-1 test holds the eager/deferred ratio at the read-heaviest
-    mix to >= 5x via {!Exp_deferred.faa_traffic}. *)
 
 val e18 :
   ?schemes:string list ->

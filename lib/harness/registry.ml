@@ -8,18 +8,9 @@ let all : (string * (module Mm_intf.S)) list =
     ("hp", (module Hazard));     (* Michael's hazard pointers *)
     ("ebr", (module Epoch));     (* epoch-based reclamation *)
     ("lockrc", (module Lockrc)); (* spinlock-serialised RC *)
-    ("wfrc_deferred", (module Wfrc.Deferred));
-    (* wfrc + per-domain rc-decrement buffers (DESIGN.md §6.3) *)
   ]
 
 let names = List.map fst all
-
-(* The five schemes present when the seeded experiment baselines were
-   recorded. Experiments whose reports mix per-scheme rows with
-   cross-scheme aggregates (E12/E13's shared Spine totals) default to
-   this list so their seeded outputs stay bit-identical; newer schemes
-   opt in via an explicit [~schemes]. *)
-let seeded_names = [ "wfrc"; "lfrc"; "hp"; "ebr"; "lockrc" ]
 
 (* Schemes that support arbitrary (multi-link) structures — the
    reference-counting ones; see the paper's §1 and Pqueue's doc.

@@ -4,13 +4,7 @@
 val all : (string * (module Mm_intf.S)) list
 
 val names : string list
-(** ["wfrc"; "lfrc"; "hp"; "ebr"; "lockrc"; "wfrc_deferred"]. *)
-
-val seeded_names : string list
-(** The legacy five (no ["wfrc_deferred"]): the scheme set the seeded
-    experiment baselines were recorded with. Used as the default by
-    experiments whose reports aggregate across schemes, so adding a
-    scheme cannot perturb their bit-identical outputs. *)
+(** ["wfrc"; "lfrc"; "hp"; "ebr"; "lockrc"]. *)
 
 val rc_names : string list
 (** The reference-counting subset — the schemes that support arbitrary

@@ -46,7 +46,7 @@ type t = {
   threads : per_thread array;
   k : int;
   threshold : int;
-  dead : bool array; (* tids declared permanently stopped *)
+  dead : Mm_intf.Dead.t; (* tids declared permanently stopped *)
   mutable validate_deref : bool;
   (* [true] in every real configuration. [unsafe_skip_validation]
      clears it to seed the classic hazard-pointer bug — publishing the
@@ -114,20 +114,12 @@ let create (cfg : Mm_intf.config) =
           });
     k;
     threshold;
-    dead = Array.make cfg.threads false;
+    dead = Mm_intf.Dead.create cfg.threads;
     validate_deref = true;
   }
 
-let declare_dead t ~tid =
-  if tid < 0 || tid >= t.cfg.threads then invalid_arg "Hazard.declare_dead";
-  t.dead.(tid) <- true
-
-let dead t =
-  let acc = ref [] in
-  for id = t.cfg.threads - 1 downto 0 do
-    if t.dead.(id) then acc := id :: !acc
-  done;
-  !acc
+let declare_dead t ~tid = Mm_intf.Dead.declare t.dead ~scheme:"Hazard" ~tid
+let dead t = Mm_intf.Dead.to_list t.dead
 
 let unsafe_skip_validation t = t.validate_deref <- false
 
@@ -408,7 +400,6 @@ let custody t =
       free;
       pending = !pending;
       pinned = !pinned;
-      deferred = [];
       violations = List.rev !violations;
     }
 
@@ -422,7 +413,7 @@ let free_count t = Mm_intf.count_free (custody t)
    node and retiring it strands the node outside every custody
    record, where only a root-marking pass can find it. *)
 let recover t ~tid =
-  if not (Array.exists Fun.id t.dead) then Mm_intf.no_recovery
+  if not (Mm_intf.Dead.any t.dead) then Mm_intf.no_recovery
   else begin
     let adopted = ref 0 and cleared = ref 0 in
     let me = t.threads.(tid) in

@@ -33,7 +33,7 @@ type t = {
   store : Freestore.t option; (* sharded Native free store (else legacy) *)
   work : int array array; (* per-thread release work stacks *)
   scratch : int array array; (* per-thread link-collect buffers *)
-  dead : bool array; (* tids declared permanently stopped *)
+  dead : Mm_intf.Dead.t; (* tids declared permanently stopped *)
 }
 
 let hw_head = 0
@@ -84,19 +84,11 @@ let create (cfg : Mm_intf.config) =
           Array.make (max 64 (4 * (cfg.num_links + 1))) 0);
     scratch =
       Array.init cfg.threads (fun _ -> Array.make (max 1 cfg.num_links) 0);
-    dead = Array.make cfg.threads false;
+    dead = Mm_intf.Dead.create cfg.threads;
   }
 
-let declare_dead t ~tid =
-  if tid < 0 || tid >= t.cfg.threads then invalid_arg "Lfrc.declare_dead";
-  t.dead.(tid) <- true
-
-let dead t =
-  let acc = ref [] in
-  for id = t.cfg.threads - 1 downto 0 do
-    if t.dead.(id) then acc := id :: !acc
-  done;
-  !acc
+let declare_dead t ~tid = Mm_intf.Dead.declare t.dead ~scheme:"Lfrc" ~tid
+let dead t = Mm_intf.Dead.to_list t.dead
 
 let enter_op _t ~tid:_ = ()
 let exit_op _t ~tid:_ = ()
@@ -322,7 +314,6 @@ let custody t =
       free;
       pending = [];
       pinned = [];
-      deferred = [];
       violations = List.rev !violations;
     }
 
@@ -342,7 +333,7 @@ let revive t ~tid node =
   free_node t ~tid node
 
 let recover t ~tid =
-  if not (Array.exists Fun.id t.dead) then Mm_intf.no_recovery
+  if not (Mm_intf.Dead.any t.dead) then Mm_intf.no_recovery
   else begin
     let revived, drops =
       Mm_intf.Rc_anomaly.run ~arena:t.arena

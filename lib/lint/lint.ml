@@ -50,14 +50,6 @@ let acquire_fns = [ "deref"; "alloc"; "copy_ref" ]
 (* Discharging operations: the reference obligation ends here. *)
 let release_fns = [ "release"; "terminate"; "make_immortal"; "release_ref" ]
 
-(* Buffered release (DESIGN.md §6.3): [defer_release] parks the
-   decrement in a per-thread rc buffer, which discharges the caller's
-   obligation — but only in a file that can also flush that buffer.
-   A file that buffers without ever naming a flush site parks the
-   decrement forever, so the reference is never actually returned. *)
-let buffer_fns = [ "defer_release" ]
-let flush_fns = [ "flush"; "flush_all"; "rc_flush" ]
-
 (* CAS-publish hand-off points: on success the reference moves into a
    shared slot (the H6 answer CAS); on failure it stays with the
    caller, who must release on that branch (H7 does). A per-parameter
@@ -142,7 +134,6 @@ let null_guard v cond =
 type fsum = {
   f_params : (string option * string) list;
   f_body : expression;
-  f_flushes : bool;
   f_consumes : bool array;
 }
 
@@ -238,10 +229,8 @@ let call_consumes (callee : fsum) args v =
    non-exceptional path? "Discharge" is a release-ish call, a return,
    a store into any data structure, or a hand-off to a *consuming*
    function (in-tree summaries; unknown external callees count as
-   ownership transfer unless they are known pure accessors).
-   [flushes] says whether the surrounding file contains a flush site:
-   a buffered release only discharges when it does. *)
-let discharges ~summaries ~file ~flushes v e =
+   ownership transfer unless they are known pure accessors). *)
+let discharges ~summaries ~file v e =
   let rec go v e =
     match e.pexp_desc with
     | Pexp_ident { txt = Longident.Lident x; _ } when x = v ->
@@ -250,8 +239,6 @@ let discharges ~summaries ~file ~flushes v e =
         match fn_name f with
         | Some n when List.mem n release_fns ->
             List.exists (fun (_, a) -> mentions v a) args
-        | Some n when List.mem n buffer_fns ->
-            flushes && List.exists (fun (_, a) -> mentions v a) args
         | Some n when List.mem n abort_fns -> true
         | Some n when List.mem n transfer_fns ->
             List.exists (fun (_, a) -> mentions v a) args
@@ -319,33 +306,9 @@ let acquire_rhs e =
       | _ -> None)
   | _ -> None
 
-(* A flush site anywhere in the file licenses its buffered releases:
-   per-file granularity matches the buffer's ownership (the module
-   that buffers is the module responsible for flushing). *)
-let has_flush_site str =
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.pexp_desc with
-          | Pexp_apply (f, _)
-            when (match fn_name f with
-                 | Some n -> List.mem n flush_fns
-                 | None -> false) ->
-              raise Found
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self e);
-    }
-  in
-  try
-    it.structure it str;
-    false
-  with Found -> true
-
 (* Collect one file's top-level function bindings (including inside
    module/functor bodies) into the summary table. *)
-let collect_functions summaries ~file ~flushes str =
+let collect_functions summaries ~file str =
   let rec scan_structure str =
     List.iter
       (fun it ->
@@ -363,7 +326,6 @@ let collect_functions summaries ~file ~flushes str =
                       {
                         f_params = params;
                         f_body = body;
-                        f_flushes = flushes;
                         f_consumes =
                           Array.make (List.length params) false;
                       }
@@ -400,7 +362,7 @@ let build_summaries structures =
       (match Hashtbl.find_opt summaries.mod_file m with
       | Some f' when f' <> f -> Hashtbl.replace ambiguous m ()
       | _ -> Hashtbl.replace summaries.mod_file m f);
-      collect_functions summaries ~file:f ~flushes:(has_flush_site s) s)
+      collect_functions summaries ~file:f s)
     structures;
   Hashtbl.iter (fun m () -> Hashtbl.remove summaries.mod_file m) ambiguous;
   let changed = ref true in
@@ -412,8 +374,7 @@ let build_summaries structures =
           (fun i (_, var) ->
             if (not fs.f_consumes.(i)) && var <> "_" then
               if
-                discharges ~summaries ~file ~flushes:fs.f_flushes var
-                  fs.f_body
+                discharges ~summaries ~file var fs.f_body
               then begin
                 fs.f_consumes.(i) <- true;
                 changed := true
@@ -456,7 +417,6 @@ let check_lid add ~file lid (loc : Location.t) =
     (Longident.flatten lid)
 
 let check_structure add ~summaries ~file str =
-  let flushes = has_flush_site str in
   let expr_hook self e =
     (match e.pexp_desc with
     | Pexp_ident { txt; loc } -> check_lid add ~file txt loc
@@ -465,7 +425,7 @@ let check_structure add ~summaries ~file str =
           (fun vb ->
             match (vb.pvb_pat.ppat_desc, acquire_rhs vb.pvb_expr) with
             | Ppat_var { txt = v; _ }, Some fn ->
-                if not (discharges ~summaries ~file ~flushes v cont) then
+                if not (discharges ~summaries ~file v cont) then
                   add ~file ~line:vb.pvb_loc.loc_start.pos_lnum
                     ~rule:"unbalanced-deref"
                     (Printf.sprintf

@@ -32,7 +32,7 @@ type t = {
   park : Park.t; (* parking spot for lock waiters (Native only) *)
   free_head : P.cell;
   store : Freestore.t option; (* sharded Native free store (else legacy) *)
-  dead : bool array; (* tids declared permanently stopped *)
+  dead : Mm_intf.Dead.t; (* tids declared permanently stopped *)
 }
 
 let name = "lockrc"
@@ -77,19 +77,11 @@ let create (cfg : Mm_intf.config) =
       B.make_contended backend
         (if store = None then Value.of_handle 1 else Value.null);
     store;
-    dead = Array.make cfg.threads false;
+    dead = Mm_intf.Dead.create cfg.threads;
   }
 
-let declare_dead t ~tid =
-  if tid < 0 || tid >= t.cfg.threads then invalid_arg "Lockrc.declare_dead";
-  t.dead.(tid) <- true
-
-let dead t =
-  let acc = ref [] in
-  for id = t.cfg.threads - 1 downto 0 do
-    if t.dead.(id) then acc := id :: !acc
-  done;
-  !acc
+let declare_dead t ~tid = Mm_intf.Dead.declare t.dead ~scheme:"Lockrc" ~tid
+let dead t = Mm_intf.Dead.to_list t.dead
 
 (* Release the lock and deliver a wake to any parked waiter. Under
    [Sim] nobody ever parks (the backoff arm is a scheduling point), so
@@ -263,7 +255,6 @@ let custody t =
       free;
       pending = [];
       pinned = [];
-      deferred = [];
       violations = List.rev !violations;
     }
 
@@ -291,7 +282,7 @@ let revive t ~tid node =
           B.write t.backend t.free_head node)
 
 let recover t ~tid =
-  if not (Array.exists Fun.id t.dead) then Mm_intf.no_recovery
+  if not (Mm_intf.Dead.any t.dead) then Mm_intf.no_recovery
   else begin
     let cleared = ref 0 in
     (* At quiescence, with the survivors drained, a non-zero lock word

@@ -51,36 +51,19 @@ type config = {
   (* domain-local allocation-cache batch size [B]: caches hold up to
      [2*B] nodes and grab/return them [B] at a time. 1 = no cache
      (every alloc/free goes straight to a stripe, the legacy path). *)
-  defer : int;
-  (* per-domain rc-buffer capacity for the deferred-rc variant: each
-     thread may park up to [defer] decrements locally before a
-     buffer-full flush touches the shared rc words. 0 — the default —
-     is fully eager: every ReleaseRef hits the shared word at once,
-     the legacy wfrc/lfrc/lockrc behaviour. *)
 }
 
 let config ?(num_links = 0) ?(num_data = 0) ?(num_roots = 0)
     ?(backend = Atomics.Backend.Sim) ?(shards = 1) ?(batch = 1)
-    ?(defer = 0) ~threads ~capacity () =
+    ~threads ~capacity () =
   if threads < 1 then invalid_arg "Mm_intf.config: threads";
   if capacity < 1 then invalid_arg "Mm_intf.config: capacity";
   if shards < 1 then invalid_arg "Mm_intf.config: shards";
   if batch < 1 then invalid_arg "Mm_intf.config: batch";
-  if defer < 0 then invalid_arg "Mm_intf.config: defer";
   if shards > capacity then invalid_arg "Mm_intf.config: shards > capacity";
   if backend = Atomics.Backend.Sim && (shards > 1 || batch > 1) then
     invalid_arg "Mm_intf.config: sharding requires the Native backend";
-  {
-    threads;
-    capacity;
-    num_links;
-    num_data;
-    num_roots;
-    backend;
-    shards;
-    batch;
-    defer;
-  }
+  { threads; capacity; num_links; num_data; num_roots; backend; shards; batch }
 
 (* Whether a config opts into the sharded free store (stripes +
    domain-local caches). [shards = 1, batch = 1] — the default — keeps
@@ -148,12 +131,6 @@ type custody = {
       (* (tid, handle): protection published by that thread which
          blocks reclamation — hazard slots (hp), unretracted
          announcement answers (wfrc) *)
-  deferred : (int * int) list;
-      (* (tid, handle): a decrement parked in that thread's rc buffer
-         (the deferred-rc variant). The shared count over-approximates
-         the true count by 2 per entry until the owner flushes;
-         duplicates are legal — one entry per outstanding decrement.
-         Empty for eager schemes. *)
   violations : string list;
       (* structural damage found while walking (cycles, double
          custody); empty on a healthy snapshot *)
@@ -224,6 +201,31 @@ let check_custody ~arena ~refcounted c =
    nodes); [cleared] counts per-thread metadata slots wiped
    (announcement-pool rows, hazard slots, epoch pins, a held lock). *)
 type recovery = { adopted : int; released : int; cleared : int }
+
+(* The declared-dead set every scheme keeps: one flag per tid, set by
+   [declare_dead] (idempotent) and read by [recover] and the
+   bounded-wait allocation path. [scheme] names the module in the
+   out-of-range error, [Invalid_argument "<scheme>.declare_dead"]. *)
+module Dead = struct
+  type t = bool array
+
+  let create threads = Array.make threads false
+
+  let declare d ~scheme ~tid =
+    if tid < 0 || tid >= Array.length d then
+      invalid_arg (scheme ^ ".declare_dead");
+    d.(tid) <- true
+
+  let any d = Array.exists Fun.id d
+
+  (* Sorted, as [S.dead] promises. *)
+  let to_list d =
+    let acc = ref [] in
+    for id = Array.length d - 1 downto 0 do
+      if d.(id) then acc := id :: !acc
+    done;
+    !acc
+end
 
 let no_recovery = { adopted = 0; released = 0; cleared = 0 }
 

@@ -35,7 +35,7 @@ type t = {
   rngs : Sched.Rng.t array;
 }
 
-let rc_schemes = [ "wfrc"; "wfrc_deferred"; "lfrc"; "lockrc" ]
+let rc_schemes = [ "wfrc"; "lfrc"; "lockrc" ]
 
 let create mm ~seed ~tid =
   if not (List.mem (Mm.name mm) rc_schemes) then

@@ -28,11 +28,3 @@ let drop_unmarked mm ~tid root =
   let w = Mm.deref mm ~tid root in
   let u = Value.unmark w in
   Mm.release mm ~tid u
-
-(* Buffered release (DESIGN.md §6.3): parking the decrement in the rc
-   buffer discharges the obligation because this file also flushes —
-   the buffer-full trigger right here, quiescence elsewhere. *)
-let release_buffered mm buf ~tid root =
-  let w = Mm.deref mm ~tid root in
-  if Rcbuf.defer_release buf ~tid w then Rcbuf.flush buf ~tid
-

@@ -1,9 +1,8 @@
 (* The actor/mailbox runtime (lib/actor) and the bugfix sweep that
-   rode along with it: MPSC mailbox linearizability across all six
-   schemes, crash-mid-send custody under the deterministic scheduler,
+   rode along with it: MPSC mailbox linearizability across every
+   scheme, crash-mid-send custody under the deterministic scheduler,
    timer-deadline saturation, the registry sizing probe, mailbox
-   teardown idempotency, the per-thread op split, and the audit's
-   deferred-closure regression the service workload exposed. *)
+   teardown idempotency and the per-thread op split. *)
 
 open Helpers
 module B = Atomics.Backend
@@ -260,41 +259,6 @@ let split_tests =
           ]);
   ]
 
-(* ---------------- Audit deferred closure ---------------------------- *)
-
-(* Regression for the service-teardown leak misreport: a node whose
-   reclamation waits on a buffered decrement keeps its whole link
-   chain waiting with it, and the auditor must class that chain
-   deferred (flush-reclaimable), not leaked. Build the exact shape:
-   a -> b where b's own decrement has already flushed and a's is
-   still parked. *)
-let closure_tests =
-  [
-    tc "chain behind a parked decrement audits deferred, not leaked"
-      (fun () ->
-        let cfg =
-          Mm.config ~backend:B.Sim ~threads:1 ~capacity:8 ~num_links:1
-            ~num_data:1 ~num_roots:1 ~defer:2 ()
-        in
-        let mm = mm_of "wfrc_deferred" cfg in
-        let arena = Mm.arena mm in
-        let a = Mm.alloc mm ~tid:0 in
-        let b = Mm.alloc mm ~tid:0 in
-        Mm.store_link mm ~tid:0 (Arena.link_addr arena a 0) b;
-        (* flush b's decrement (and a filler's) so only the link keeps
-           b alive; a's decrement then parks alone in the row *)
-        Mm.release mm ~tid:0 b;
-        let f = Mm.alloc mm ~tid:0 in
-        Mm.release mm ~tid:0 f;
-        Mm.release mm ~tid:0 a;
-        let r = Audit.run mm in
-        check_int "nothing reachable" 0 r.Audit.reachable;
-        check_int "leaked" 0 r.Audit.leaked;
-        check_int "chain is deferred end to end" 2 r.Audit.deferred;
-        check_bool "audit ok" true (Audit.ok r);
-        check_bool "no violations" true (r.Audit.violations = []));
-  ]
-
 let suite =
   mailbox_tests @ fault_tests @ timer_tests @ probe_tests @ destroy_tests
-  @ split_tests @ closure_tests
+  @ split_tests

@@ -128,11 +128,7 @@ let instr_tests =
                 Arena.write_data (Mm.arena mm) a 0 7;
                 Mm.release mm ~tid:0 a;
                 Mm.terminate mm ~tid:0 a;
-                Mm.exit_op mm ~tid:0;
-                (* wfrc_deferred parks the decrement in its rc buffer;
-                   quiescence (free_count drains every buffer) makes the
-                   Free event land like the eager schemes' *)
-                if scheme = "wfrc_deferred" then ignore (Mm.free_count mm));
+                Mm.exit_op mm ~tid:0);
             let expected =
               if Mm.refcounted mm then
                 [ (!handle, Mm.Events.Alloc); (!handle, Mm.Events.Free) ]

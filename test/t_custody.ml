@@ -65,15 +65,12 @@ let set_ref mm h v =
 let park_pending scheme mm =
   let tid = 0 in
   match scheme with
-  | "wfrc" | "wfrc_deferred" | "hp" | "ebr" ->
+  | "wfrc" | "hp" | "ebr" ->
       Mm.enter_op mm ~tid;
       let p = Mm.alloc mm ~tid in
       if scheme = "hp" || scheme = "ebr" then Mm.terminate mm ~tid p;
       if scheme <> "ebr" then Mm.release mm ~tid p;
       Mm.exit_op mm ~tid;
-      (* the deferred variant parks the decrement; quiescent
-         inspection flushes it, which frees and donates the node *)
-      ignore (Mm.free_count mm);
       let c = Mm.custody mm in
       if not (List.exists (fun (_, h) -> h = Value.handle p) c.Mm.pending)
       then Alcotest.failf "%s: node #%d did not land pending" scheme

@@ -494,112 +494,6 @@ let recovery_tests =
           (Audit.ok o.Recovery.post);
         check_int "crash_held collapsed" 0 o.Recovery.post.Audit.crash_held;
         check_int "nothing leaked" 0 o.Recovery.post.Audit.leaked);
-    tc "wfrc_deferred: crash during flush; recover drains the adopted buffer"
-      (fun () ->
-        (* A tiny rc buffer (defer = 4) makes the victim flush every
-           few churn ops, so a dense at_step sweep necessarily lands
-           crashes inside flush loops — between the shared-counter
-           FAAs — leaving a partially drained buffer behind. Recovery
-           must adopt and drain whatever suffix survived, with a clean
-           audit and zero leaks, every time. *)
-        let audited = ref 0 and buffered_at_crash = ref 0 in
-        for seed = 0 to 9 do
-          let cfg =
-            Mm.config ~defer:4 ~threads:3 ~capacity:24 ~num_links:1
-              ~num_data:1 ~num_roots:1 ()
-          in
-          let mm = mm_of "wfrc_deferred" cfg in
-          let root = Arena.root_addr (Mm.arena mm) 0 in
-          let victim = 2 in
-          let faults =
-            [ Fault.crash ~tid:victim ~at_step:(60 + (23 * seed)) ]
-          in
-          match
-            Engine.run ~max_steps:200_000 ~threads:3 ~faults
-              ~policy:(Policy.random ~seed:(700 + seed))
-              (fun tid ->
-                if tid = victim then
-                  while true do
-                    churn mm ~root ~tid
-                  done
-                else
-                  for _ = 1 to 24 do
-                    churn mm ~root ~tid
-                  done)
-          with
-          | _ ->
-              incr audited;
-              let c = Mm.custody mm in
-              if List.exists (fun (t, _) -> t = victim) c.Mm.deferred then
-                incr buffered_at_crash;
-              drain mm ~survivors:[ 0; 1 ];
-              let o = Recovery.run ~dead:[ victim ] ~by:0 mm in
-              let label what =
-                Printf.sprintf "seed %d %s: %s" seed what
-                  (Audit.to_string o.Recovery.post)
-              in
-              check_bool (label "post-audit ok") true
-                (Audit.ok o.Recovery.post);
-              check_int (label "crash_held collapsed") 0
-                o.Recovery.post.Audit.crash_held;
-              check_int (label "nothing leaked") 0
-                o.Recovery.post.Audit.leaked;
-              let post = Mm.custody mm in
-              check_bool (label "dead rc buffer fully drained") false
-                (List.exists (fun (t, _) -> t = victim) post.Mm.deferred)
-          | exception Engine.Out_of_steps -> ()
-        done;
-        check_bool "grid produced audited runs" true (!audited > 0);
-        check_bool "some crashes left entries parked in the rc buffer" true
-          (!buffered_at_crash > 0));
-    tc "native chaos: wfrc_deferred crash mid-flush on Domains, then adoption"
-      (fun () ->
-        (* The Chaos countdown fires at lifecycle-event boundaries, and
-           a draining flush emits its Free events back-to-back — so a
-           crash landing on one of those boundaries kills the victim
-           mid-flush. Rcbuf.clear empties the row BEFORE the entries
-           are processed, so a mid-flush kill strands the unprocessed
-           decrements as shared-count over-approximation anomalies
-           (excess even counts), not as buffer entries: the recovery
-           fixpoint must release them on the dead thread's behalf
-           (stats.released), with a clean audit and zero leaks. *)
-        let any_stranded = ref false in
-        for s = 0 to 2 do
-          let cfg =
-            Mm.config ~backend:Atomics.Backend.Native ~defer:4 ~shards:2
-              ~batch:2 ~threads:2 ~capacity:32 ~num_links:1 ~num_data:1
-              ~num_roots:1 ()
-          in
-          let mm = mm_of "wfrc_deferred" cfg in
-          let root = Arena.root_addr (Mm.arena mm) 0 in
-          let chaos =
-            Chaos.of_plan ~threads:2
-              [ Fault.crash ~tid:1 ~at_step:(9 + (8 * s)) ]
-          in
-          ignore
-            (Chaos.run chaos (fun ~tid ->
-                 for _ = 1 to 200 do
-                   churn mm ~root ~tid
-                 done));
-          check_bool "the crash fired" true (Chaos.crashed chaos = [ 1 ]);
-          drain mm ~survivors:[ 0 ];
-          let o = Recovery.run ~dead:[ 1 ] ~by:0 mm in
-          if o.Recovery.stats.Mm.released > 0 then any_stranded := true;
-          let label what =
-            Printf.sprintf "countdown %d %s: %s" s what
-              (Audit.to_string o.Recovery.post)
-          in
-          check_bool (label "post-audit ok") true (Audit.ok o.Recovery.post);
-          check_int (label "crash_held collapsed") 0
-            o.Recovery.post.Audit.crash_held;
-          check_int (label "nothing leaked") 0 o.Recovery.post.Audit.leaked;
-          let post = Mm.custody mm in
-          check_bool (label "dead rc buffer fully drained") false
-            (List.exists (fun (t, _) -> t = 1) post.Mm.deferred)
-        done;
-        check_bool
-          "some countdown stranded mid-flush decrements for the fixpoint"
-          true !any_stranded);
     tc "native chaos: a stalled thread sleeps through its window and resumes"
       (fun () ->
         let cfg =

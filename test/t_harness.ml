@@ -360,8 +360,13 @@ let git_rev_tests =
 
 let registry_tests =
   [
-    tc "all six schemes are registered" (fun () ->
-        check_int "count" 6 (List.length Harness.Registry.names);
+    tc "all five schemes are registered" (fun () ->
+        (* E12/E13 sweep [names] in this order; their seeded outputs
+           (test/seeded) depend on it. *)
+        Alcotest.(check (list string))
+          "names, in order"
+          [ "wfrc"; "lfrc"; "hp"; "ebr"; "lockrc" ]
+          Harness.Registry.names;
         List.iter
           (fun s ->
             let mm = mm_of s (small_cfg ()) in

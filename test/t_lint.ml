@@ -44,11 +44,6 @@ let test_raw_words () =
   check_rules "raw Words flagged" [ "raw-primitives" ] vs;
   Alcotest.(check bool) "one per use site" true (List.length vs >= 2)
 
-let test_deferred_unflushed () =
-  let vs = Lint.run ~roots:[ fx "fx_deferred_unflushed.ml" ] in
-  check_rules "unflushed buffered release flagged" [ "unbalanced-deref" ] vs;
-  Alcotest.(check int) "exactly one violation" 1 (List.length vs)
-
 let test_dead_counter () =
   let vs = Lint.run ~roots:[ fx "fx_dead_counter" ] in
   check_rules "dead counter flagged" [ "counter-coverage" ] vs;
@@ -91,12 +86,6 @@ let test_clean_counter_c () =
   let vs = Lint.run ~roots:[ fx "clean_counter_c" ] in
   Alcotest.(check int) "C-side counter liveness accepted" 0 (List.length vs)
 
-(* Buffered release whose only flush site is the quiescence-driven
-   flush_all: still a discharge. *)
-let test_clean_deferred_quiescent () =
-  let vs = Lint.run ~roots:[ fx "clean_deferred_quiescent.ml" ] in
-  Alcotest.(check int) "quiescence flush accepted" 0 (List.length vs)
-
 (* The real library tree must lint clean — same invocation CI uses.
    Resolve lib/ relative to the dune workspace root when running from
    the _build sandbox. *)
@@ -124,15 +113,11 @@ let suite =
     Alcotest.test_case "fixture: raw Freestore" `Quick test_raw_freestore;
     Alcotest.test_case "fixture: raw Words" `Quick test_raw_words;
     Alcotest.test_case "fixture: dead counter" `Quick test_dead_counter;
-    Alcotest.test_case "fixture: buffered release without a flush site"
-      `Quick test_deferred_unflushed;
     Alcotest.test_case "fixture: borrowing helper" `Quick test_borrowed_helper;
     Alcotest.test_case "fixture: relaxed stub ordering" `Quick
       test_relaxed_stub;
     Alcotest.test_case "clean example is quiet" `Quick test_clean_example;
     Alcotest.test_case "clean: C-side counter liveness" `Quick
       test_clean_counter_c;
-    Alcotest.test_case "clean: quiescence-driven flush" `Quick
-      test_clean_deferred_quiescent;
     Alcotest.test_case "library tree lints clean" `Quick test_lib_clean;
   ]

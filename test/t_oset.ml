@@ -162,11 +162,7 @@ let tail_of mm s =
   let arena = Mm.arena mm in
   Value.unmark (Arena.read arena (Arena.link_addr arena (Oset.head s) 0))
 
-(* A sentinel's [mm_ref] once every deferred decrement is applied
-   ([free_count] flushes the rc buffers). *)
-let settled_ref mm p =
-  ignore (Mm.free_count mm);
-  Arena.read_mm_ref (Mm.arena mm) p
+let mm_ref_of mm p = Arena.read_mm_ref (Mm.arena mm) p
 
 (* Client reference discipline (DESIGN.md §6.5): one deref and one
    release per node a traversal steps onto, none for the node it stops
@@ -210,13 +206,13 @@ let budget_tests =
                  scheme which) (fun () ->
                 let mm, s = mk scheme () in
                 let p = sentinel mm s in
-                let r0 = settled_ref mm p in
+                let r0 = mm_ref_of mm p in
                 mixed s;
-                check_int (which ^ " mm_ref") r0 (settled_ref mm p)))
+                check_int (which ^ " mm_ref") r0 (mm_ref_of mm p)))
           schemes)
       [
         ("head", (fun _ s -> Oset.head s), [ "wfrc"; "lfrc" ]);
-        ("tail", tail_of, [ "wfrc"; "lfrc"; "lockrc"; "wfrc_deferred" ]);
+        ("tail", tail_of, [ "wfrc"; "lfrc"; "lockrc" ]);
       ]
 
 (* An insert whose [alloc] runs out of nodes gives back the references
@@ -295,7 +291,7 @@ let race_bed ~keys ~reader ~writer scheme =
       fun () ->
         let s = Oset.create mm ~tid:0 in
         let tail = tail_of mm s in
-        let tail_ref = settled_ref mm tail in
+        let tail_ref = mm_ref_of mm tail in
         List.iter (fun k -> ignore (Oset.insert s ~tid:0 k k)) keys;
         let hist = Lincheck.History.create ~threads:2 in
         let run tid = function
@@ -340,7 +336,7 @@ let race_bed ~keys ~reader ~writer scheme =
           flush mm;
           Mm.validate mm;
           if Mm.free_count mm <> 14 then failwith "leak";
-          if settled_ref mm tail <> tail_ref then
+          if mm_ref_of mm tail <> tail_ref then
             failwith "tail sentinel's count unbalanced"
         in
         (body, check) )
@@ -363,7 +359,7 @@ let race_tests =
          writer's unlink CAS fail, so the writer's adopting find must
          itself stop on a marked node and unlink it *)
       ( "stop-node mark read races a remove of the target",
-        [ "wfrc"; "lfrc"; "hp"; "ebr"; "wfrc_deferred" ],
+        [ "wfrc"; "lfrc"; "hp"; "ebr" ],
         [ 10; 20; 30; 40 ],
         [ Mem 30; Remove 20; Lookup 30; Insert 20; Mem 30 ],
         [ Remove 30; Insert 30; Remove 40; Insert 40 ] );
@@ -371,7 +367,7 @@ let race_tests =
          remove of the last key makes its deref land on the tail: the
          give-back path *)
       ( "succ's deref lands on the tail after a last-key remove",
-        [ "wfrc"; "lfrc"; "hp"; "ebr"; "wfrc_deferred" ],
+        [ "wfrc"; "lfrc"; "hp"; "ebr" ],
         [ 10; 20 ],
         [ Mem 30; Lookup 20; Mem 30; Lookup 30 ],
         [ Remove 20; Insert 20; Remove 20; Insert 20 ] );

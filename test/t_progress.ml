@@ -44,7 +44,7 @@ let test_core_is_bounded_or_helping () =
     List.filter
       (fun (c : P.cls) ->
         List.mem (Filename.basename c.c_file)
-          [ "gc.ml"; "ann.ml"; "rcbuf.ml"; "wfrc.ml"; "wfrc_deferred.ml" ])
+          [ "gc.ml"; "ann.ml"; "wfrc.ml" ])
       r.classifications
   in
   Alcotest.(check bool)

@@ -121,10 +121,10 @@ let deref_setup backend (n, tid, index, busy, slots, link, target, mark, rc) =
 let gc_words gc =
   let arena = Gc.arena gc in
   ann_words (Gc.announcements gc)
-  @ List.init num_roots (fun r ->
+  @ List.init (Arena.num_roots arena) (fun r ->
         (Printf.sprintf "root[%d]" r, Arena.read arena (Arena.root_addr arena r)))
   @ List.concat
-      (List.init cap (fun i ->
+      (List.init (Arena.capacity arena) (fun i ->
            let p = Value.of_handle (i + 1) in
            let field f v = (Printf.sprintf "node%d.%s" (i + 1) f, v) in
            [
@@ -188,4 +188,99 @@ let scan_prop =
       (if hs = hn then [] else [ Printf.sprintf "row: sim %d, native %d" hs hn ])
       @ diff_words ws wn)
 
-let suite = [ deref_prop; scan_prop ]
+(* ---- AllocNode A4 and FreeNode's hand-off: [Words.take_fix] and
+   [Words.free_park] against their Sim arms ------------------------- *)
+
+(* A client script step: (op, tid, a, b). Op 0 allocates, op 1
+   releases held reference [a], op 2 stores held reference [b] (or
+   null) into link [a] — a root or link 0 of a held node. Every
+   release that reclaims a node parks it in the freeing thread's own
+   [annAlloc] cell when that is empty ([free_park]), and A10 successes
+   donate to a peer's empty cell; the next alloc of the cell's owner
+   takes it back ([take_fix]). Indices are taken modulo what is held,
+   so every script is a legal sequential client. *)
+let script_case =
+  QCheck.(
+    pair (int_range 0 2)
+      (list_of_size
+         Gen.(int_range 1 40)
+         (quad (int_range 0 2) (int_range 0 2) (int_range 0 7) (int_range 0 7))))
+
+let script_cap = 6
+
+(* Runs the script on a fresh manager and returns, per step, what the
+   step did and every arena word plus the [annAlloc] custody after
+   it. *)
+let script_run backend (n, steps) =
+  let n = n + 1 in
+  let t =
+    Wfrc.create
+      (Mm_intf.config ~backend ~threads:n ~capacity:script_cap ~num_links:1
+         ~num_data:1 ~num_roots ())
+  in
+  let arena = Gc.arena t in
+  let held = ref [] in
+  let nth i = List.nth !held (i mod List.length !held) in
+  let drop i =
+    let i = i mod List.length !held in
+    held := List.filteri (fun j _ -> j <> i) !held
+  in
+  let step (op, tid, a, b) =
+    let tid = tid mod n in
+    match op with
+    | 0 -> (
+        match Wfrc.alloc t ~tid with
+        | p ->
+            held := !held @ [ p ];
+            Printf.sprintf "alloc t%d #%d" tid (Value.handle p)
+        | exception Mm_intf.Out_of_memory ->
+            Printf.sprintf "alloc t%d oom" tid)
+    | 1 when !held <> [] ->
+        let p = nth a in
+        drop a;
+        Wfrc.release t ~tid p;
+        Printf.sprintf "release t%d #%d" tid (Value.handle p)
+    | 2 ->
+        let k = a mod (num_roots + List.length !held) in
+        let link =
+          if k < num_roots then Arena.root_addr arena k
+          else Arena.link_addr arena (List.nth !held (k - num_roots)) 0
+        in
+        let v = if !held = [] || b = 0 then Value.null else nth b in
+        Wfrc.store_link t ~tid link v;
+        Printf.sprintf "store t%d %d <- #%d" tid k
+          (if Value.is_null v then 0 else Value.handle v)
+    | _ -> "skip"
+  in
+  List.map
+    (fun st ->
+      let did = step st in
+      let c = Gc.custody t in
+      let pending =
+        List.map
+          (fun (tid, h) -> (Printf.sprintf "annAlloc[%d]" tid, h))
+          (List.sort compare c.Mm_intf.pending)
+      in
+      (did, gc_words t @ pending))
+    steps
+
+let alloc_free_prop =
+  prop "take_fix and free_park = their Sim arms over alloc/release scripts"
+    script_case (fun case ->
+      let rec first i = function
+        | (ds, ws) :: s, (dn, wn) :: n -> (
+            let diffs =
+              (if ds = dn then []
+               else [ Printf.sprintf "sim %s; native %s" ds dn ])
+              @
+              if List.map fst ws = List.map fst wn then diff_words ws wn
+              else [ "annAlloc custody differs" ]
+            in
+            match diffs with
+            | [] -> first (i + 1) (s, n)
+            | d -> Printf.sprintf "step %d (%s)" i ds :: d)
+        | _ -> []
+      in
+      first 0 (script_run B.Sim case, script_run B.Native case))
+
+let suite = [ deref_prop; scan_prop; alloc_free_prop ]
