@@ -8,9 +8,11 @@
    Slot protocol. The service owns [max_actors] slots; slot [s] claims
    arena root cells 2s (mailbox head) and 2s+1 (mailbox tail). An
    actor id encodes its slot and a generation: id = slot +
-   max_actors * gen, so a recycled slot never resurrects an old id
-   (the registry lookup for a dead id simply misses). Each slot
-   carries two service-level atomics:
+   max_actors * gen, so a recycled slot never resurrects an old id.
+   Send and receive derive the slot from the id and need nothing
+   else: the slot's state word names the one id live there. The
+   registry is the spawn/retire directory and the sizing probe; no
+   message path reads it. Each slot carries two service-level atomics:
 
      state    0 = free | id+1 = live | -(id+1) = closing
      inflight  number of threads inside the send/receive guard window
@@ -202,38 +204,53 @@ let spawn ?deadline t ~tid =
    inflight down. Deliberately NOT exception-protected — a chaos
    crash inside the window must leave [inflight] raised, zombifying
    the slot, so its nodes stay in the audited custody classes instead
-   of racing a concurrent destroy. *)
+   of racing a concurrent destroy.
+
+   [state.(slot) = dst + 1] holds only while [dst] itself is live, so a
+   dead, closing or recycled id is rejected inside the window. An id
+   below 0 has no slot; every entry point turns it away before
+   indexing. *)
 let send t ~tid ~dst v =
-  match Hmap.lookup t.registry ~tid dst with
-  | None ->
-      bump t.c.send_drop tid;
-      false
-  | Some slot ->
-      Atomic.incr t.inflight.(slot);
-      let ok =
-        if Atomic.get t.state.(slot) = dst + 1 then
-          match t.mailbox.(slot) with
-          | Some q -> (
-              try
-                Q.enqueue q ~tid v;
-                true
-              with Mm.Out_of_memory | Mm.Out_of_nodes _ -> false)
-          | None -> false
-        else false
-      in
-      Atomic.decr t.inflight.(slot);
-      bump (if ok then t.c.sent else t.c.send_drop) tid;
-      ok
+  if dst < 0 then begin
+    bump t.c.send_drop tid;
+    false
+  end
+  else begin
+    let slot = slot_of t dst in
+    Atomic.incr t.inflight.(slot);
+    let ok =
+      if Atomic.get t.state.(slot) = dst + 1 then
+        match t.mailbox.(slot) with
+        | Some q -> (
+            try
+              Q.enqueue q ~tid v;
+              true
+            with Mm.Out_of_memory | Mm.Out_of_nodes _ -> false)
+        | None -> false
+      else false
+    in
+    Atomic.decr t.inflight.(slot);
+    bump (if ok then t.c.sent else t.c.send_drop) tid;
+    ok
+  end
 
 let receive t ~tid ~self =
-  let slot = slot_of t self in
-  Atomic.incr t.inflight.(slot);
   let res =
-    if Atomic.get t.state.(slot) = self + 1 then
-      match t.mailbox.(slot) with Some q -> Q.dequeue q ~tid | None -> None
-    else None
+    if self < 0 then None
+    else begin
+      let slot = slot_of t self in
+      Atomic.incr t.inflight.(slot);
+      let r =
+        if Atomic.get t.state.(slot) = self + 1 then
+          match t.mailbox.(slot) with
+          | Some q -> Q.dequeue q ~tid
+          | None -> None
+        else None
+      in
+      Atomic.decr t.inflight.(slot);
+      r
+    end
   in
-  Atomic.decr t.inflight.(slot);
   bump (match res with Some _ -> t.c.received | None -> t.c.recv_empty) tid;
   res
 
@@ -245,7 +262,8 @@ let spin_budget = 128
 
 let retire t ~tid id =
   let slot = slot_of t id in
-  if Atomic.compare_and_set t.state.(slot) (id + 1) (-(id + 1)) then begin
+  if id >= 0 && Atomic.compare_and_set t.state.(slot) (id + 1) (-(id + 1))
+  then begin
     ignore (Hmap.remove t.registry ~tid id);
     let rec wait n =
       if Atomic.get t.inflight.(slot) = 0 then begin

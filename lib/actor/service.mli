@@ -6,10 +6,12 @@
     memory scheme as the service's real allocator.
 
     Ids encode slot + generation (id = slot + max_actors * gen): a
-    recycled slot never resurrects a dead id. [send] to a dead id is a
-    counted drop, never a use-after-free — the slot-state/inflight
-    guard protocol (see service.ml) makes mailbox destruction safe
-    against concurrent senders, and parks a slot as a {e zombie} when
+    recycled slot never resurrects a dead id, so [send]/[receive] go
+    straight to the id's slot and the registry serves only spawn,
+    retire and {!probe}. [send] to a dead id is a counted drop, never
+    a use-after-free — the slot-state/inflight guard protocol (see
+    service.ml) makes mailbox destruction safe against concurrent
+    senders, and parks a slot as a {e zombie} when
     the guard window never clears (e.g. a sender crashed inside it);
     zombie mailboxes are adopted by {!teardown}.
 
@@ -66,21 +68,22 @@ val spawn : ?deadline:int -> t -> tid:int -> int option
     ignored otherwise. [None] when out of slots or nodes. *)
 
 val send : t -> tid:int -> dst:int -> int -> bool
-(** Registry lookup, then guarded enqueue. [false] — counted in
-    {!totals}.send_drop — when [dst] is dead or the allocator is
-    exhausted. *)
+(** Guarded enqueue into the slot [dst] names; the slot's state word
+    decides whether [dst] is live, with no registry lookup. [false] —
+    counted in {!totals}.send_drop — when [dst] is dead, recycled,
+    below 0, or the allocator is exhausted. *)
 
 val receive : t -> tid:int -> self:int -> int option
-(** Guarded dequeue from [self]'s mailbox ([None] when empty or
-    dead). Any thread may run an actor; concurrent receives on one
-    actor are safe but break FIFO delivery order per sender. *)
+(** Guarded dequeue from [self]'s mailbox ([None] when empty, dead
+    or below 0). Any thread may run an actor; concurrent receives on
+    one actor are safe but break FIFO delivery order per sender. *)
 
 val retire : t -> tid:int -> int -> bool
 (** Kill an actor: unregister, wait (bounded) for in-flight
     senders, destroy the mailbox (discarding undelivered messages) and
     recycle the slot onto this thread's free list. [false] if already
-    dead. A guard window that never clears parks the slot as a zombie
-    instead of blocking. *)
+    dead or below 0. A guard window that never clears parks the slot
+    as a zombie instead of blocking. *)
 
 val tick : t -> tid:int -> now:int -> int
 (** Fire every ripe ttl timer (retiring its actor); returns how many

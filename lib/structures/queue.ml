@@ -19,6 +19,20 @@
    [last]'s own link for as long as [last] is held, which is all the
    tail swing's [cas_link] needs of its [nw].
 
+   The dequeuer null-tests [first.next] with a plain read and derefs
+   it only when it is non-null, so an empty dequeue costs one deref
+   (the head). The same once-only change makes the deref return the
+   word the plain read saw.
+
+   The dequeuer reads the new head's value after its head swing, not
+   before. On hp a deref of [first.next] validates only the link, which
+   never changes while [first] is held, so the hazard can land on a
+   node another dequeuer has already swung past, retired and freed. A
+   successful swing proves the head was still [first] after the hazard
+   was published, so the node was not yet retired and the hazard holds
+   it from then on; the counted schemes hold it through [first]'s link
+   and ebr through the pinned epoch either way.
+
    Node layout: link 0 = next, data 0 = value. *)
 
 module Mm = Mm_intf
@@ -84,7 +98,12 @@ let dequeue t ~tid =
   let rec attempt () =
     let first = Mm.deref t.mm ~tid t.head in
     let last = Shmem.Arena.read arena t.tail in
-    let nextw = Mm.deref t.mm ~tid (next_addr t first) in
+    (* null-tested with a plain read; derefed only when non-null *)
+    let nextw =
+      let link = next_addr t first in
+      let w = Shmem.Arena.read arena link in
+      if Value.is_null w then w else Mm.deref t.mm ~tid link
+    in
     let release_all () =
       if not (Value.is_null nextw) then Mm.release t.mm ~tid nextw;
       Mm.release t.mm ~tid first
@@ -107,9 +126,10 @@ let dequeue t ~tid =
       attempt ()
     end
     else begin
-      let v = Shmem.Arena.read_data arena (Value.unmark nextw) 0 in
       if Mm.cas_link t.mm ~tid t.head ~old:first ~nw:(Value.unmark nextw)
       then begin
+        (* only after the swing: see the header on hp *)
+        let v = Shmem.Arena.read_data arena (Value.unmark nextw) 0 in
         release_all ();
         Mm.terminate t.mm ~tid first;
         Some v

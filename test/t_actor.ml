@@ -68,10 +68,22 @@ let mailbox_tests =
 
 (* ---------------- Crash-mid-send custody (Sim fault sweep) ---------- *)
 
-(* E18's sim leg, miniature and pinned: the victim sends forever and
-   is crashed mid-traffic; after the survivors drain and the service
-   tears down, recovery must leave nothing leaked — the stranded
-   mailbox nodes land in the crash_held class and come back. *)
+(* E18's sim leg, miniature: the victim sends forever and is crashed
+   mid-traffic; after the survivors drain and the service tears down,
+   recovery must leave nothing leaked — the stranded mailbox nodes land
+   in the crash_held class and come back.
+
+   Before recovery the RC schemes leak nothing: a node the victim held
+   is counted, so the audit files it as crash_held. hp and ebr have
+   orphan windows (DESIGN.md §7.1) where a node is in no custody class
+   until [Mm_intf.Orphan] sweeps it at recovery: hp's alloc pops a node
+   before it publishes the hazard, hp's scan drops nodes from [retired]
+   before it pushes them to the pool, and ebr's alloc and collect have
+   the same shape. One crashed enqueue or dequeue holds at most two
+   such nodes in hand, so their pre-recovery [leaked] is bounded by 2,
+   and recovery must still bring it to 0. *)
+let orphan_bound = function "hp" | "ebr" -> 2 | _ -> 0
+
 let crash_mid_send scheme ~seed =
   let threads = 3 and actors = 8 and buckets = 8 in
   let victim = threads - 1 in
@@ -100,6 +112,7 @@ let crash_mid_send scheme ~seed =
     done
   in
   let faults = [ Sched.Fault.crash ~tid:victim ~at_step:(150 + seed) ] in
+  let pre = Printf.sprintf "%s seed %d: " scheme seed in
   match
     Sched.Engine.run ~max_steps:300_000 ~faults ~threads
       ~policy:(Sched.Policy.random ~seed:(seed + 2))
@@ -109,11 +122,12 @@ let crash_mid_send scheme ~seed =
       Harness.Exp_support.drain_survivors mm ~survivors:[ 0; 1 ];
       ignore (Service.teardown svc ~tid:0);
       let o = Recovery.run ~dead:[ victim ] ~by:0 mm in
-      check_int (scheme ^ ": pre-recovery leaked") 0
-        o.Recovery.pre.Audit.leaked;
-      check_int (scheme ^ ": post-recovery leaked") 0
-        o.Recovery.post.Audit.leaked;
-      check_bool (scheme ^ ": post-recovery audit ok") true
+      let leaked = o.Recovery.pre.Audit.leaked in
+      if leaked > orphan_bound scheme then
+        Alcotest.failf "%spre-recovery leaked %d > %d" pre leaked
+          (orphan_bound scheme);
+      check_int (pre ^ "post-recovery leaked") 0 o.Recovery.post.Audit.leaked;
+      check_bool (pre ^ "post-recovery audit ok") true
         (Audit.ok o.Recovery.post)
   | exception Sched.Engine.Out_of_steps ->
       (* Only the lock-based scheme may block here: the victim died
@@ -121,7 +135,7 @@ let crash_mid_send scheme ~seed =
          paper's §1 blocking argument (E12). Non-blocking schemes
          must always finish. *)
       if scheme <> "lockrc" then
-        Alcotest.fail (scheme ^ ": engine ran out of steps")
+        Alcotest.fail (pre ^ "engine ran out of steps")
 
 let fault_tests =
   [
@@ -129,9 +143,78 @@ let fault_tests =
       (fun () ->
         List.iter
           (fun scheme ->
-            crash_mid_send scheme ~seed:31;
-            crash_mid_send scheme ~seed:77)
+            for seed = 0 to 63 do
+              crash_mid_send scheme ~seed
+            done)
           all_schemes);
+  ]
+
+(* ---------------- Send by slot: budgets and negative ids ----------- *)
+
+(* [send] derives the slot from the id and lets the slot's state word
+   reject a dead id, so a send to a live actor derefs only inside its
+   enqueue (the tail) and a drop derefs nothing. *)
+let send_tests =
+  let setup () =
+    let cfg =
+      Service.mm_config ~backend:B.Sim ~threads:1 ~capacity:64 ~max_actors:2
+        ~buckets:2 ()
+    in
+    let mm = mm_of "wfrc" cfg in
+    (mm, Service.create mm ~max_actors:2 ~buckets:2 ~seed:5 ~tid:0)
+  in
+  let spawn svc =
+    match Service.spawn svc ~tid:0 with
+    | Some id -> id
+    | None -> Alcotest.fail "spawn failed"
+  in
+  [
+    tc "wfrc: send to a live actor costs 1 deref; a drop costs none"
+      (fun () ->
+        let mm, svc = setup () in
+        let derefs f =
+          let ctr = Mm.counters mm in
+          let d0 = Atomics.Counters.(total ctr Deref) in
+          let r = f () in
+          (r, Atomics.Counters.(total ctr Deref) - d0)
+        in
+        let send dst = derefs (fun () -> Service.send svc ~tid:0 ~dst 9) in
+        let a = spawn svc and b = spawn svc in
+        check_bool "live send delivered, 1 deref" true (send a = (true, 1));
+        check_bool "retire b" true (Service.retire svc ~tid:0 b);
+        check_bool "retired id dropped, 0 derefs" true (send b = (false, 0));
+        check_bool "retire a" true (Service.retire svc ~tid:0 a);
+        let a' = spawn svc in
+        check_int "slot recycled" (a mod 2) (a' mod 2);
+        check_bool "recycled slot's old id dropped, 0 derefs" true
+          (send a = (false, 0));
+        check_bool "negative id dropped, 0 derefs" true (send (-2) = (false, 0));
+        check_bool "new id delivered" true (send a' = (true, 1));
+        let tot = Service.totals svc in
+        check_int "sent" 2 tot.Service.sent;
+        check_int "send_drop" 3 tot.Service.send_drop;
+        ignore (Service.teardown svc ~tid:0));
+    tc "negative ids are turned away by send, receive and retire" (fun () ->
+        let _, svc = setup () in
+        let a = spawn svc in
+        List.iter
+          (fun id ->
+            let pre = Printf.sprintf "id %d: " id in
+            check_bool (pre ^ "send drops") false
+              (Service.send svc ~tid:0 ~dst:id 1);
+            check_bool (pre ^ "receive is empty") true
+              (Service.receive svc ~tid:0 ~self:id = None);
+            check_bool (pre ^ "retire refuses") false
+              (Service.retire svc ~tid:0 id))
+          [ -1; -2; -3; min_int ];
+        let tot = Service.totals svc in
+        check_int "drops counted" 4 tot.Service.send_drop;
+        check_int "empty receives counted" 4 tot.Service.recv_empty;
+        check_int "nothing retired" 0 tot.Service.retired;
+        check_bool "live actor untouched" true
+          (Service.send svc ~tid:0 ~dst:a 5
+          && Service.receive svc ~tid:0 ~self:a = Some 5);
+        ignore (Service.teardown svc ~tid:0));
   ]
 
 (* ---------------- Timer-deadline saturation ------------------------- *)
@@ -260,5 +343,5 @@ let split_tests =
   ]
 
 let suite =
-  mailbox_tests @ fault_tests @ timer_tests @ probe_tests @ destroy_tests
+  mailbox_tests @ fault_tests @ send_tests @ timer_tests @ probe_tests @ destroy_tests
   @ split_tests

@@ -141,16 +141,18 @@ let conc_tests scheme =
         ignore mm);
   ]
 
-(* Dequeue reads the tail root uncounted: only the head and the
-   sentinel's next link are dereferenced. Enqueue reads [last.next]
-   uncounted: only the tail is dereferenced. *)
+(* Dequeue reads the tail root uncounted and null-tests the sentinel's
+   next link before it derefs it: a non-empty dequeue derefs the head
+   and that link, an empty one the head alone. Enqueue reads
+   [last.next] uncounted: only the tail is dereferenced. *)
 let budget_tests =
-  let derefs mm f =
+  let count ev mm f =
     let ctr = Mm.counters mm in
-    let d0 = Atomics.Counters.(total ctr Deref) in
+    let d0 = Atomics.Counters.total ctr ev in
     f ();
-    Atomics.Counters.(total ctr Deref) - d0
+    Atomics.Counters.total ctr ev - d0
   in
+  let derefs = count Atomics.Counters.Deref in
   [
     tc "wfrc: dequeue from a non-empty queue costs exactly 2 derefs"
       (fun () ->
@@ -159,12 +161,63 @@ let budget_tests =
         check_int "derefs" 2
           (derefs mm (fun () ->
                check_bool "deq 1" true (Queue_.dequeue q ~tid:0 = Some 1))));
+    tc "wfrc: dequeue from an empty queue costs 1 deref and 1 release"
+      (fun () ->
+        let mm, q = mk "wfrc" () in
+        Queue_.enqueue q ~tid:0 1;
+        ignore (Queue_.dequeue q ~tid:0);
+        let releases =
+          count Atomics.Counters.Release mm (fun () ->
+              check_int "derefs" 1
+                (derefs mm (fun () ->
+                     check_bool "empty" true (Queue_.dequeue q ~tid:0 = None))))
+        in
+        check_int "releases" 1 releases);
     tc "wfrc: enqueue on a non-lagging tail costs exactly 1 deref" (fun () ->
         let mm, q = mk "wfrc" () in
         Queue_.enqueue q ~tid:0 1;
         check_int "derefs" 1 (derefs mm (fun () -> Queue_.enqueue q ~tid:0 2));
         check_bool "FIFO" true (Queue_.drain q ~tid:0 = [ 1; 2 ]));
   ]
+
+(* A two-thread queue bed under lincheck and the reclamation oracle:
+   [body enq deq tid] runs each thread's script; every value in
+   [values] must come out exactly once, and the queue must end holding
+   only its sentinel. *)
+let race_bed scheme ~values body =
+  let mm = mm_of scheme (small_cfg ~capacity:16 ~num_roots:2 ()) in
+  ( Mm.arena mm,
+    fun () ->
+      let q = Queue_.create mm ~head_root:0 ~tail_root:1 ~tid:0 in
+      let hist = Lincheck.History.create ~threads:2 in
+      let enq tid v =
+        ignore
+          (Lincheck.History.record hist ~tid (Queue_ops.Enq v) (fun () ->
+               Queue_.enqueue q ~tid v;
+               Queue_ops.Unit))
+      in
+      let deq tid =
+        ignore
+          (Lincheck.History.record hist ~tid Queue_ops.Deq (fun () ->
+               match Queue_.dequeue q ~tid with
+               | Some v -> Queue_ops.Value v
+               | None -> Queue_ops.Empty))
+      in
+      let check () =
+        let events = Lincheck.History.events hist in
+        if not (Queue_check.check events) then failwith "not linearizable";
+        let dequeued =
+          Array.to_list events
+          |> List.filter_map (fun (e : _ Lincheck.History.event) ->
+                 match e.res with Queue_ops.Value v -> Some v | _ -> None)
+        in
+        let all = List.sort compare (dequeued @ Queue_.drain q ~tid:0) in
+        if all <> values then failwith "values not conserved";
+        flush mm;
+        Mm.validate mm;
+        if Mm.free_count mm <> 15 then failwith "leak"
+      in
+      (body enq deq, check) )
 
 (* The enqueuer on thread 0 reads [last.next] uncounted and may find
    the tail lagging behind thread 1's enqueue, while thread 1 also
@@ -173,58 +226,57 @@ let budget_tests =
    to a reclaimed node. The biased half starves the enqueuer between
    its read and its tail swing. *)
 let race_tests scheme =
-  let factory () =
-    let mm = mm_of scheme (small_cfg ~capacity:16 ~num_roots:2 ()) in
-    ( Mm.arena mm,
-      fun () ->
-        let q = Queue_.create mm ~head_root:0 ~tail_root:1 ~tid:0 in
-        let hist = Lincheck.History.create ~threads:2 in
-        let enq tid v =
-          ignore
-            (Lincheck.History.record hist ~tid (Queue_ops.Enq v) (fun () ->
-                 Queue_.enqueue q ~tid v;
-                 Queue_ops.Unit))
-        in
-        let deq tid =
-          ignore
-            (Lincheck.History.record hist ~tid Queue_ops.Deq (fun () ->
-                 match Queue_.dequeue q ~tid with
-                 | Some v -> Queue_ops.Value v
-                 | None -> Queue_ops.Empty))
-        in
-        let body tid =
-          if tid = 0 then begin
-            enq tid 1;
-            enq tid 2;
-            enq tid 3
-          end
-          else begin
-            enq tid 101;
-            deq tid;
-            enq tid 102;
-            deq tid;
-            deq tid
-          end
-        in
-        let check () =
-          let events = Lincheck.History.events hist in
-          if not (Queue_check.check events) then failwith "not linearizable";
-          let dequeued =
-            Array.to_list events
-            |> List.filter_map (fun (e : _ Lincheck.History.event) ->
-                   match e.res with Queue_ops.Value v -> Some v | _ -> None)
-          in
-          let all = List.sort compare (dequeued @ Queue_.drain q ~tid:0) in
-          if all <> [ 1; 2; 3; 101; 102 ] then failwith "values not conserved";
-          flush mm;
-          Mm.validate mm;
-          if Mm.free_count mm <> 15 then failwith "leak"
-        in
-        (body, check) )
+  let body enq deq tid =
+    if tid = 0 then begin
+      enq tid 1;
+      enq tid 2;
+      enq tid 3
+    end
+    else begin
+      enq tid 101;
+      deq tid;
+      enq tid 102;
+      deq tid;
+      deq tid
+    end
   in
   tc
     (Printf.sprintf "%s queue: enqueue meets a lagging tail (lincheck + oracle)"
-       scheme) (fun () -> race_sweep_ok factory)
+       scheme) (fun () ->
+      race_sweep_ok (fun () ->
+          race_bed scheme ~values:[ 1; 2; 3; 101; 102 ] body))
+
+(* The dequeuer on thread 0 null-tests [first.next] with a plain read
+   on a mostly empty queue while thread 1 links nodes behind it and
+   dequeues past them. A null read must not lose an enqueue that
+   linearizes before it; a non-null read is derefed and must name a
+   live node. The biased half parks the dequeuer between its null test
+   and its deref while thread 1 retires the nodes it saw; thread 1's
+   first dequeue leaves a node retired, so on hp the next two reach the
+   scan threshold inside that window. Reading the new head's value
+   before the head swing fails the hp sweep with a use-after-free. *)
+let empty_race_tests scheme =
+  let body enq deq tid =
+    if tid = 0 then begin
+      deq tid;
+      deq tid
+    end
+    else begin
+      enq tid 1;
+      deq tid;
+      enq tid 2;
+      enq tid 3;
+      deq tid;
+      deq tid;
+      enq tid 4
+    end
+  in
+  tc
+    (Printf.sprintf
+       "%s queue: enqueue races an empty dequeue's null test (lincheck + \
+        oracle)"
+       scheme) (fun () ->
+      race_sweep_ok (fun () -> race_bed scheme ~values:[ 1; 2; 3; 4 ] body))
 
 (* The dequeuer's uncounted tail read is scheme-generic, so both
    sweeps run on every scheme. *)
@@ -273,3 +325,4 @@ let suite =
   @ budget_tests
   @ List.concat_map sim_tests all_schemes
   @ List.map race_tests all_schemes
+  @ List.map empty_race_tests all_schemes
