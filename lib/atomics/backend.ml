@@ -52,6 +52,35 @@ let make_padded (v : int) : int Atomic.t =
   Obj.set_field b 0 (Obj.repr v);
   (Obj.obj b : int Atomic.t)
 
+(* Per-domain scratch: a block one domain writes on its hot path (a
+   D1–D6 context, an R3 collect buffer, an allocation cache, a
+   per-thread record). The domains' blocks are made together at
+   [create], so at their natural size they land next to each other,
+   and one domain's writes invalidate the line another domain's block
+   shares. [padded] copies a tag-0 block (a record, or an array of
+   ints or pointers) with one cache-line pair of immediate zero words
+   appended. Field offsets are unchanged; an array's [Array.length]
+   grows by [cache_line_words], so callers bound their loops by the
+   used length, never by [Array.length]. Whatever follows the block,
+   its first field lies more than 128 bytes past this block's last
+   used word, whichever of two padded blocks comes first. *)
+let padded (v : 'a) : 'a =
+  let r = Obj.repr v in
+  if Obj.is_int r || Obj.tag r <> 0 then invalid_arg "Backend.padded";
+  let n = Obj.size r in
+  let b = Obj.new_block 0 (n + cache_line_words) in
+  for i = 0 to n - 1 do
+    Obj.set_field b i (Obj.field r i)
+  done;
+  for i = n to n + cache_line_words - 1 do
+    Obj.set_field b i (Obj.repr 0)
+  done;
+  (Obj.obj b : 'a)
+
+type owned = { owner : int; label : string; block : Obj.t; used : int }
+
+let owned ~owner label ~used v = { owner; label; block = Obj.repr v; used }
+
 (* The backend signature: Figure 2's word operations plus the two cell
    constructors (plain and contention-padded). *)
 module type PRIMS = sig

@@ -30,6 +30,29 @@ val cache_line_words : int
     128 bytes: one cache line plus its prefetch partner, matching
     OCaml 5.2's [Atomic.make_contended]). *)
 
+val padded : 'a -> 'a
+(** [padded v] is a copy of the heap block [v] (a record, or an array
+    of ints or pointers) followed by one cache-line pair of immediate
+    zero words, so that no other block's fields share a 128-byte line
+    pair with [v]'s. Used for the per-domain scratch a hot path writes
+    (contexts, collect buffers, allocation caches, per-thread records),
+    which would otherwise sit packed next to the other domains'.
+    Field offsets are unchanged, but an array's [Array.length] grows by
+    {!cache_line_words}: bound loops by the used length. Raises
+    [Invalid_argument] unless [v] is a block with tag 0. *)
+
+type owned = {
+  owner : int;  (** the thread id that writes the block *)
+  label : string;
+  block : Obj.t;
+  used : int;  (** words the owner reads and writes, from field 0 *)
+}
+(** A per-domain block as the managers and structures report it, for
+    layout checks (see [scratch_blocks] in [Wfrc.Gc] and the
+    baselines). *)
+
+val owned : owner:int -> string -> used:int -> 'a -> owned
+
 (** First-class backend view, for code that abstracts over a backend
     wholesale (benchmarks, equivalence tests). *)
 module type PRIMS = sig

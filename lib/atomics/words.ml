@@ -127,12 +127,12 @@ let[@inline] free_park t slot ~arena ~ref_addr ~node =
   unsafe_free_park t.raw slot arena.raw ref_addr node
 
 (* [ctx] layout: [| node; slot; idx; busy; ra; stride; n; nodes_base;
-   node_stride |]. The link word and the whole announcement row are
-   checked on every call; the stub guards the computed [mm_ref] offset
-   itself, as [take_fix] does. *)
+   node_stride |], then any padding. The link word and the whole
+   announcement row are checked on every call; the stub guards the
+   computed [mm_ref] offset itself, as [take_fix] does. *)
 let[@inline] deref_link t ~arena ~link ~enc ~ctx =
   check arena link;
-  if Array.length ctx <> 9 then invalid_arg "Words.deref_link: ctx";
+  if Array.length ctx < 9 then invalid_arg "Words.deref_link: ctx";
   let stride = ctx.(5) and n = ctx.(6) in
   if n < 1 || stride < 1 then invalid_arg "Words.deref_link: row";
   check t ctx.(2);

@@ -87,7 +87,8 @@ val deref_link : t -> arena:t -> link:int -> enc:int -> ctx:int array -> int
     the read node's [mm_ref] by [+2] unless it is null; D6 swaps the
     slot to 0. Returns the swapped-out word and leaves the node and the
     slot in [ctx]. If every busy word is non-zero, nothing is written
-    but slot [-1], and 0 is returned. *)
+    but slot [-1], and 0 is returned. [ctx] may be longer than 9 words
+    (a padded context); the stub touches only the first 9. *)
 
 val ann_scan : t -> geom:int array -> from:int -> int -> int
 (** [ann_scan t ~geom ~from target] is the batched announcement-row

@@ -131,13 +131,19 @@ let retract t ~tid ~slot =
 (* D1–D6 in one stub call ([Native]): the caller's per-thread
    context for {!Atomics.Words.deref_link}. Words 0 and 1 receive the
    node D4 read and the slot D1 chose; under [Sim] the context holds
-   those two words only, written by the caller's unfused sequence. *)
+   those two words only, written by the caller's unfused sequence.
+   Each context is padded ({!Atomics.Backend.padded}): the stub writes
+   words 0–1 on every deref, and unpadded they shared a line with the
+   next domain's geometry words. *)
 let deref_ctx t ~tid ~node_geom =
-  match t.store with
-  | Cells _ -> [| 0; 0 |]
-  | Raw _ ->
-      [| 0; 0; idx_w tid; busy_w t tid 0; ra_w t tid 0; line; t.n;
-         node_geom.(0); node_geom.(1) |]
+  B.padded
+    (match t.store with
+    | Cells _ -> [| 0; 0 |]
+    | Raw _ ->
+        [| 0; 0; idx_w tid; busy_w t tid 0; ra_w t tid 0; line; t.n;
+           node_geom.(0); node_geom.(1) |])
+
+let ctx_words t = match t.store with Cells _ -> 2 | Raw _ -> 9
 
 let[@inline] deref_fused t ~arena ~ctx link =
   match t.store with

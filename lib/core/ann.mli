@@ -42,7 +42,13 @@ val deref_ctx : t -> tid:int -> node_geom:int array -> int array
     read and the slot D1 chose. Under [Native] the rest is the row and
     node geometry {!deref_fused} hands to
     {!Atomics.Words.deref_link}; [node_geom] is the arena's
-    [[| nodes_base; node_stride |]]. *)
+    [[| nodes_base; node_stride |]]. The array is
+    {!Atomics.Backend.padded}: only its first {!ctx_words} words are
+    the context. *)
+
+val ctx_words : t -> int
+(** The used length of a {!deref_ctx}: 9 under [Native], 2 under
+    [Sim]. *)
 
 val deref_fused : t -> arena:Atomics.Words.t -> ctx:int array ->
   Shmem.Value.addr -> int

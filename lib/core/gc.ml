@@ -46,7 +46,15 @@
    into minor-GC stop-the-world barriers; the word-for-word order of
    shared-memory operations is unchanged, so Sim schedules (and the
    seeded experiment outputs) are bit-identical to the list-based
-   code. *)
+   code. No per-domain mutable word sits within 128 bytes of another
+   domain's: the D1–D6 contexts, the R3 collect buffers and the
+   sharded caches are {!Atomics.Backend.padded}, and the R3 work
+   stacks are written from their bottom, at least 64 words apart.
+   Made together at
+   [create], they used to be promoted side by side (contexts 80 bytes
+   apart, buffers 16–40, cache records 24), so one domain's D1–D6
+   stub wrote context words 0–1 into the line holding the other
+   domain's words 7–8 on every deref (DESIGN.md §6.4). *)
 
 module B = Atomics.Backend
 module C = Atomics.Counters
@@ -59,7 +67,9 @@ module Arena = Shmem.Arena
 (* Domain-local allocation cache for the sharded Native configuration
    (Mm_intf.sharded): the paper's 2N free-lists already play the role
    of stripes, so WFRC adopts only the cache layer. Unsynchronised:
-   each thread touches exactly its own entry. *)
+   each thread touches exactly its own entry. The record and its
+   slots are padded ({!Atomics.Backend.padded}); [cslots] holds
+   [2 * batch] nodes. *)
 type tcache = { cslots : int array; mutable clen : int }
 
 (* Cross-store fusion context ([Native] only): the raw arena and
@@ -104,12 +114,12 @@ type t = {
   work : int array array;
   (* per-thread R3 work stacks (reusable, grown on demand) *)
   scratch : int array array;
-      (* per-thread link-collect buffers (num_links wide) for
-         [Arena.release_collect] *)
+      (* per-thread link-collect buffers (num_links used words, then
+         padding) for [Arena.release_collect] *)
   dctx : int array array;
-      (* per-thread D1–D6 contexts ({!Ann.deref_ctx}): the node D4
-         read and the slot D1 chose, plus under [Native] the geometry
-         of the fused stub *)
+      (* per-thread D1–D6 contexts ({!Ann.deref_ctx}, padded): the
+         node D4 read and the slot D1 chose, plus under [Native] the
+         geometry of the fused stub *)
 }
 
 (* Hot-vector slot map: [currentFreeList] at 0, [helpCurrent] at 1,
@@ -171,7 +181,11 @@ let create ?(help_alloc = true) (cfg : Mm_intf.config) =
       (if Mm_intf.sharded cfg then
          Some
            (Array.init n (fun _ ->
-                { cslots = Array.make (2 * cfg.batch) Value.null; clen = 0 }))
+                B.padded
+                  {
+                    cslots = B.padded (Array.make (2 * cfg.batch) Value.null);
+                    clen = 0;
+                  }))
        else None);
     batch = cfg.batch;
     dead = Mm_intf.Dead.create n;
@@ -180,7 +194,8 @@ let create ?(help_alloc = true) (cfg : Mm_intf.config) =
     work =
       Array.init n (fun _ ->
           Array.make (max 64 (4 * (cfg.num_links + 1))) 0);
-    scratch = Array.init n (fun _ -> Array.make (max 1 cfg.num_links) 0);
+    scratch =
+      Array.init n (fun _ -> B.padded (Array.make (max 1 cfg.num_links) 0));
     dctx =
       Array.init n (fun tid ->
           Ann.deref_ctx ann ~tid ~node_geom:(Arena.node_geom arena));
@@ -291,7 +306,7 @@ and free_node t ~tid node =
         let c = caches.(tid) in
         c.cslots.(c.clen) <- node;
         c.clen <- c.clen + 1;
-        if c.clen = Array.length c.cslots then begin
+        if c.clen = 2 * t.batch then begin
           C.incr t.ctr ~tid Cache_spill;
           for _ = 1 to t.batch do
             c.clen <- c.clen - 1;
@@ -620,6 +635,26 @@ let custody t =
     { free; pending = !pending; pinned; violations = List.rev !violations }
 
 let free_count t = Mm_intf.count_free (custody t)
+
+(* The per-domain blocks the hot paths write, for the layout test. *)
+let scratch_blocks t =
+  List.concat
+    (List.init t.n (fun tid ->
+         [
+           B.owned ~owner:tid "dctx" ~used:(Ann.ctx_words t.ann)
+             t.dctx.(tid);
+           B.owned ~owner:tid "scratch" ~used:(max 1 t.cfg.num_links)
+             t.scratch.(tid);
+         ]
+         @
+         match t.caches with
+         | Some caches ->
+             [
+               B.owned ~owner:tid "tcache" ~used:2 caches.(tid);
+               B.owned ~owner:tid "cslots" ~used:(2 * t.batch)
+                 caches.(tid).cslots;
+             ]
+         | None -> []))
 
 (* ---------------- Crash recovery (quiescent-survivors) ------------- *)
 

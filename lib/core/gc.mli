@@ -60,6 +60,12 @@ val custody : t -> Mm_intf.custody
 val free_count : t -> int
 (** {!Mm_intf.count_free} over {!custody}: free nodes plus [annAlloc] donations. *)
 
+val scratch_blocks : t -> Atomics.Backend.owned list
+(** Each thread's hot-path scratch (D1–D6 context, R3 collect buffer
+    and, when sharded, the allocation cache record and its slots),
+    with its used length, for layout checks: each block is
+    {!Atomics.Backend.padded}. *)
+
 val validate : t -> unit
 (** {!Mm_intf.check_custody} over
     {!custody} (free chains acyclic and disjoint with [mm_ref = 1],

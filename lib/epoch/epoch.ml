@@ -23,6 +23,8 @@ module Layout = Shmem.Layout
 module Arena = Shmem.Arena
 module Freestore = Shmem.Freestore
 
+(* The record, [bags] and [bag_sizes] are owner-written on every
+   retire and epoch change: all three are {!Atomics.Backend.padded}. *)
 type per_thread = {
   active : P.cell;
   epoch : P.cell;
@@ -86,15 +88,16 @@ let create (cfg : Mm_intf.config) =
     store;
     threads =
       Array.init cfg.threads (fun _ ->
-          {
-            (* owner-written, advance-scanner-read: padded per thread *)
-            active = B.make_contended backend 0;
-            epoch = B.make_contended backend 0;
-            bags = [| []; []; [] |];
-            bag_sizes = Array.make 3 0;
-            last_seen = 0;
-            ops = 0;
-          });
+          B.padded
+            {
+              (* owner-written, advance-scanner-read: padded per thread *)
+              active = B.make_contended backend 0;
+              epoch = B.make_contended backend 0;
+              bags = B.padded [| []; []; [] |];
+              bag_sizes = B.padded (Array.make 3 0);
+              last_seen = 0;
+              ops = 0;
+            });
     advance_every = 4;
     dead = Mm_intf.Dead.create cfg.threads;
   }
@@ -309,13 +312,15 @@ let custody t =
   let pending = ref [] in
   Array.iteri
     (fun tid pt ->
-      Array.iter
-        (List.iter (fun p ->
-             let h = Value.handle p in
-             if free.(h) then
-               violation (Printf.sprintf "bagged node #%d also in the pool" h)
-             else pending := (tid, h) :: !pending))
-        pt.bags)
+      for slot = 0 to 2 do
+        List.iter
+          (fun p ->
+            let h = Value.handle p in
+            if free.(h) then
+              violation (Printf.sprintf "bagged node #%d also in the pool" h)
+            else pending := (tid, h) :: !pending)
+          pt.bags.(slot)
+      done)
     t.threads;
   Mm_intf.
     {
@@ -326,6 +331,18 @@ let custody t =
     }
 
 let free_count t = Mm_intf.count_free (custody t)
+
+let scratch_blocks t =
+  List.concat
+    (List.mapi
+       (fun tid pt ->
+         [
+           B.owned ~owner:tid "per_thread" ~used:6 pt;
+           B.owned ~owner:tid "bags" ~used:3 pt.bags;
+           B.owned ~owner:tid "bag_sizes" ~used:3 pt.bag_sizes;
+         ])
+       (Array.to_list t.threads))
+  @ match t.store with Some fs -> Freestore.scratch_blocks fs | None -> []
 
 (* Crash recovery: un-jam the epoch (a thread that crashed inside the
    bracket blocks [try_advance] forever), adopt the dead threads' bag

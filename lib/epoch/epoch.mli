@@ -10,6 +10,10 @@
 
 include Mm_intf.S
 
+val scratch_blocks : t -> Atomics.Backend.owned list
+(** Each thread's padded record, limbo bags and bag sizes and, when
+    sharded, its free-store cache, for layout checks. *)
+
 val try_advance : t -> tid:int -> unit
 (** Attempt one global-epoch advance (normally driven by
     [exit_op]). *)

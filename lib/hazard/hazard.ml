@@ -29,6 +29,9 @@ module Layout = Shmem.Layout
 module Arena = Shmem.Arena
 module Freestore = Shmem.Freestore
 
+(* The record and [counts] are owner-written on every deref, release
+   and retire: both are {!Atomics.Backend.padded}, so loops over
+   [counts] are bounded by [slots]' length, not their own. *)
 type per_thread = {
   slots : P.cell array;   (* shared: scanners read these *)
   counts : int array;     (* local: references held per slot *)
@@ -104,14 +107,15 @@ let create (cfg : Mm_intf.config) =
     store;
     threads =
       Array.init cfg.threads (fun _ ->
-          {
-            (* hazard slots are owner-written, scanner-read: pad them
-               so a scan does not invalidate the owner's lines *)
-            slots = Array.init k (fun _ -> B.make_contended backend 0);
-            counts = Array.make k 0;
-            retired = [];
-            retired_len = 0;
-          });
+          B.padded
+            {
+              (* hazard slots are owner-written, scanner-read: pad them
+                 so a scan does not invalidate the owner's lines *)
+              slots = Array.init k (fun _ -> B.make_contended backend 0);
+              counts = B.padded (Array.make k 0);
+              retired = [];
+              retired_len = 0;
+            });
     k;
     threshold;
     dead = Mm_intf.Dead.create cfg.threads;
@@ -130,7 +134,7 @@ let find_slot pt u =
   (* [counts] is thread-local; only the publish in [slots] is shared,
      and reading our own slot needs no scheduling point. *)
   let rec go i =
-    if i >= Array.length pt.counts then None
+    if i >= Array.length pt.slots then None
     else if pt.counts.(i) > 0 && Atomic.get pt.slots.(i) = u then Some i
     else go (i + 1)
   in
@@ -138,7 +142,7 @@ let find_slot pt u =
 
 let find_empty pt =
   let rec go i =
-    if i >= Array.length pt.counts then
+    if i >= Array.length pt.slots then
       failwith "Hazard: out of hazard slots (fixed-reference limit hit)"
     else if pt.counts.(i) = 0 then i
     else go (i + 1)
@@ -405,6 +409,17 @@ let custody t =
 
 let free_count t = Mm_intf.count_free (custody t)
 
+let scratch_blocks t =
+  List.concat
+    (List.mapi
+       (fun tid pt ->
+         [
+           B.owned ~owner:tid "per_thread" ~used:4 pt;
+           B.owned ~owner:tid "counts" ~used:t.k pt.counts;
+         ])
+       (Array.to_list t.threads))
+  @ match t.store with Some fs -> Freestore.scratch_blocks fs | None -> []
+
 (* Crash recovery: clear the dead threads' published hazard slots (a
    crashed reader pins its targets for every scanner, forever), adopt
    their stranded retired backlogs, then run one scan — with the dead
@@ -470,16 +485,16 @@ let validate t =
   Array.iteri
     (fun tid pt ->
       Array.iteri
-        (fun s c ->
+        (fun s cell ->
+          let c = pt.counts.(s) in
           if c <> 0 then
             failwith
               (Printf.sprintf "Hazard: thread %d slot %d still holds %d refs"
                  tid s c);
-          let v = Atomic.get pt.slots.(s) in
-          if v <> 0 then
+          if Atomic.get cell <> 0 then
             failwith
               (Printf.sprintf "Hazard: thread %d slot %d not cleared" tid s))
-        pt.counts)
+        pt.slots)
     t.threads
 
 let () = scan_ref := scan

@@ -11,6 +11,10 @@
 
 include Mm_intf.S
 
+val scratch_blocks : t -> Atomics.Backend.owned list
+(** Each thread's padded record and hazard counts and, when sharded,
+    its free-store cache, for layout checks. *)
+
 val slots_per_thread : t -> int
 (** The K of this instance (derived from the node layout). *)
 

@@ -32,7 +32,8 @@ type t = {
   hot : Hot.t; (* one slot: the stamped free-list head *)
   store : Freestore.t option; (* sharded Native free store (else legacy) *)
   work : int array array; (* per-thread release work stacks *)
-  scratch : int array array; (* per-thread link-collect buffers *)
+  scratch : int array array;
+      (* per-thread link-collect buffers, {!Atomics.Backend.padded} *)
   dead : Mm_intf.Dead.t; (* tids declared permanently stopped *)
 }
 
@@ -83,7 +84,8 @@ let create (cfg : Mm_intf.config) =
       Array.init cfg.threads (fun _ ->
           Array.make (max 64 (4 * (cfg.num_links + 1))) 0);
     scratch =
-      Array.init cfg.threads (fun _ -> Array.make (max 1 cfg.num_links) 0);
+      Array.init cfg.threads (fun _ ->
+          B.padded (Array.make (max 1 cfg.num_links) 0));
     dead = Mm_intf.Dead.create cfg.threads;
   }
 
@@ -318,6 +320,12 @@ let custody t =
     }
 
 let free_count t = Mm_intf.count_free (custody t)
+
+let scratch_blocks t =
+  List.init t.cfg.threads (fun tid ->
+      B.owned ~owner:tid "scratch" ~used:(max 1 t.cfg.num_links)
+        t.scratch.(tid))
+  @ match t.store with Some fs -> Freestore.scratch_blocks fs | None -> []
 
 (* Crash recovery: the scheme has no announcement/retired custody, so
    recovery is the reference-count anomaly fixpoint (crashed derefs

@@ -8,3 +8,7 @@
     conventions as {!Wfrc}. *)
 
 include Mm_intf.S
+
+val scratch_blocks : t -> Atomics.Backend.owned list
+(** Each thread's padded R3 collect buffer and, when sharded, its
+    free-store cache, for layout checks. *)

@@ -48,12 +48,15 @@
    Native-only path, keeping the deterministic scheduler's and
    lincheck's per-primitive schedules byte-for-byte unchanged. *)
 
+module B = Atomics.Backend
 module C = Atomics.Counters
 module Hot = Atomics.Hot
 module Park = Atomics.Park
 
+(* Both the record and its slots are {!Atomics.Backend.padded}, so
+   no two threads' caches share a cache-line pair. *)
 type cache = {
-  slots : int array; (* Value.ptr; length 2*batch; thread-local *)
+  slots : int array; (* Value.ptr; 2*batch used words; thread-local *)
   mutable len : int;
 }
 
@@ -117,7 +120,8 @@ let create ~backend ~arena ~counters ~shards ~batch ~threads () =
     hot;
     caches =
       Array.init threads (fun _ ->
-          { slots = Array.make (2 * batch) Value.null; len = 0 });
+          B.padded
+            { slots = B.padded (Array.make (2 * batch) Value.null); len = 0 });
     park = Park.create ();
     adopt_lock = Atomic.make 0;
   }
@@ -195,7 +199,7 @@ let drain_rbuf t ~tid s =
   for i = 0 to t.rbuf_size - 1 do
     let v = Hot.swap t.hot (hw_rbuf t s i) 0 in
     if v <> 0 then
-      if c.len < Array.length c.slots then begin
+      if c.len < 2 * t.batch then begin
         c.slots.(c.len) <- v;
         c.len <- c.len + 1
       end
@@ -252,7 +256,7 @@ let free t ~tid node =
   let c = t.caches.(tid) in
   c.slots.(c.len) <- node;
   c.len <- c.len + 1;
-  if c.len = Array.length c.slots then begin
+  if c.len = 2 * t.batch then begin
     C.incr t.ctr ~tid Cache_spill;
     let home = home_of t ~tid in
     let hfirst = ref Value.null and hlast = ref Value.null in
@@ -333,6 +337,15 @@ let waiters t = Park.waiters t.park
 (* Quiescent inspection. *)
 
 let cached t ~tid = t.caches.(tid).len
+
+let scratch_blocks t =
+  List.concat
+    (List.init t.threads (fun tid ->
+         let c = t.caches.(tid) in
+         [
+           B.owned ~owner:tid "cache" ~used:2 c;
+           B.owned ~owner:tid "slots" ~used:(2 * t.batch) c.slots;
+         ]))
 
 let buffered t =
   let n = ref 0 in

@@ -71,6 +71,10 @@ val waiters : t -> int
 val cached : t -> tid:int -> int
 (** Nodes currently parked in [tid]'s cache. *)
 
+val scratch_blocks : t -> Atomics.Backend.owned list
+(** Each thread's cache record and slots, with their used lengths, for
+    layout checks. *)
+
 val buffered : t -> int
 (** Nodes currently parked in return-buffer slots. *)
 

@@ -67,10 +67,18 @@ let create mm ~seed ~tid =
     max_level;
     head;
     tail;
-    rngs = Array.init cfg.threads (fun i -> Sched.Rng.create (seed + (i * 7919)));
+    (* each draw rewrites the generator's state word: one padded
+       record per thread *)
+    rngs =
+      Array.init cfg.threads (fun i ->
+          Atomics.Backend.padded (Sched.Rng.create (seed + (i * 7919))));
   }
 
 let head_ptr t = t.head
+
+let scratch_blocks t =
+  List.init (Array.length t.rngs) (fun tid ->
+      Atomics.Backend.owned ~owner:tid "rng" ~used:1 t.rngs.(tid))
 
 let key t p = Arena.read_data (Mm.arena t.mm) (Value.unmark p) 0
 let level_of t p = Arena.read_data (Mm.arena t.mm) (Value.unmark p) 2

@@ -21,6 +21,9 @@ val head_ptr : t -> Shmem.Value.ptr
     root-based audits must see the queue's nodes as reachable (see
     {!Oset.head}). *)
 
+val scratch_blocks : t -> Atomics.Backend.owned list
+(** Each thread's padded level generator, for layout checks. *)
+
 val insert : t -> tid:int -> int -> int -> unit
 (** [insert t ~tid k v] inserts value [v] with priority [k]. *)
 

@@ -19,10 +19,15 @@
    [last]'s own link for as long as [last] is held, which is all the
    tail swing's [cas_link] needs of its [nw].
 
-   The dequeuer null-tests [first.next] with a plain read and derefs
-   it only when it is non-null, so an empty dequeue costs one deref
-   (the head). The same once-only change makes the deref return the
-   word the plain read saw.
+   The dequeuer reads [first.next] with a plain read. On the
+   refcounted schemes that is all it ever does: by the same once-only
+   change, a non-null word is pinned by [first]'s own link for as long
+   as [first] is held, which covers the tail swing's [nw], the head
+   swing's [nw] and the value read after it. So a dequeue costs one
+   deref (the head), empty or not. On hp and ebr a non-null word is
+   then derefed, because the link does not pin it there: the hazard
+   (or the pinned epoch) is what protects the value read after the
+   swing, and the deref returns the word the plain read saw.
 
    The dequeuer reads the new head's value after its head swing, not
    before. On hp a deref of [first.next] validates only the link, which
@@ -42,6 +47,7 @@ type t = {
   mm : Mm.instance;
   head : Value.addr;
   tail : Value.addr;
+  refcounted : bool; (* [first]'s link pins [first.next]: no deref *)
 }
 
 let create mm ~head_root ~tail_root ~tid =
@@ -57,7 +63,7 @@ let create mm ~head_root ~tail_root ~tid =
   Mm.store_link mm ~tid head dummy;
   Mm.store_link mm ~tid tail dummy;
   Mm.release mm ~tid dummy;
-  { mm; head; tail }
+  { mm; head; tail; refcounted = Mm.refcounted mm }
 
 let next_addr t p = Shmem.Arena.link_addr (Mm.arena t.mm) p 0
 
@@ -98,14 +104,14 @@ let dequeue t ~tid =
   let rec attempt () =
     let first = Mm.deref t.mm ~tid t.head in
     let last = Shmem.Arena.read arena t.tail in
-    (* null-tested with a plain read; derefed only when non-null *)
-    let nextw =
-      let link = next_addr t first in
-      let w = Shmem.Arena.read arena link in
-      if Value.is_null w then w else Mm.deref t.mm ~tid link
-    in
+    (* a plain read; derefed only when non-null and not pinned by
+       [first]'s link (hp, ebr) *)
+    let link = next_addr t first in
+    let w = Shmem.Arena.read arena link in
+    let counted = not (t.refcounted || Value.is_null w) in
+    let nextw = if counted then Mm.deref t.mm ~tid link else w in
     let release_all () =
-      if not (Value.is_null nextw) then Mm.release t.mm ~tid nextw;
+      if counted then Mm.release t.mm ~tid nextw;
       Mm.release t.mm ~tid first
     in
     if first = last then

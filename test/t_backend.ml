@@ -423,6 +423,98 @@ let hook_tests =
         check_int "hits" 0 !hits);
   ]
 
+(* Per-domain scratch layout. Every block a manager or structure
+   makes for one thread's hot path is made at [create], in one domain,
+   so unpadded they are promoted side by side: one thread's writes
+   then invalidate the line another thread's block shares (wfrc's
+   D1–D6 contexts were 80 bytes apart, the collect buffers 16–40 and
+   the cache records 24). After a full major GC (the major heap does
+   not move blocks), the used words of different threads' blocks must
+   be at least a cache-line pair apart. *)
+let addr (o : Obj.t) : int = Obj.magic o
+
+let gap_bytes (a : B.owned) (b : B.owned) =
+  (* [addr] reinterprets a block pointer as an OCaml int, which reads
+     as half the address; a difference of two is exact, so twice it is
+     the distance in bytes *)
+  let lo, hi = if addr a.block <= addr b.block then (a, b) else (b, a) in
+  (2 * (addr hi.block - addr lo.block)) - (8 * (lo.used - 1))
+
+let check_layout what blocks_of =
+  Gc.full_major ();
+  let blocks : B.owned list = blocks_of () in
+  check_bool (what ^ ": two owners") true
+    (List.exists (fun (b : B.owned) -> b.owner = 1) blocks);
+  List.iter
+    (fun (a : B.owned) ->
+      check_bool
+        (Printf.sprintf "%s: %s holds its used words" what a.label)
+        true
+        (a.used >= 1 && Obj.size a.block >= a.used);
+      List.iter
+        (fun (b : B.owned) ->
+          if a.owner < b.owner then begin
+            let g = gap_bytes a b in
+            if g < 128 then
+              Alcotest.failf
+                "%s: thread %d's %s and thread %d's %s are %d bytes apart" what
+                a.owner a.label b.owner b.label g
+          end)
+        blocks)
+    blocks
+
+let layout_tests =
+  let cfg ?(shards = 1) ?(batch = 1) ?(num_links = 2) ?(num_data = 1) () =
+    Mm.config ~backend:B.Native ~threads:2 ~capacity:256 ~num_links ~num_data
+      ~num_roots:2 ~shards ~batch ()
+  in
+  let sharded () = cfg ~shards:2 ~batch:8 () in
+  [
+    tc "padded copies a block and appends a cache-line pair" (fun () ->
+        let a = B.padded [| 1; 2; 3 |] in
+        check_int "length" (3 + B.cache_line_words) (Array.length a);
+        check_bool "used words" true (Array.sub a 0 3 = [| 1; 2; 3 |]);
+        check_bool "padding is zero" true
+          (Array.for_all (( = ) 0) (Array.sub a 3 B.cache_line_words));
+        let r = B.padded (ref 5) in
+        r := !r + 1;
+        check_int "record field" 6 !r;
+        check_int "record size" (1 + B.cache_line_words)
+          (Obj.size (Obj.repr r));
+        fails_with ~substring:"padded" (fun () -> B.padded 3);
+        fails_with ~substring:"padded" (fun () -> B.padded 1.5));
+    tc "layout: wfrc scratch blocks are a line pair apart" (fun () ->
+        let t = Wfrc.create (cfg ()) in
+        check_layout "wfrc" (fun () -> Wfrc.Gc.scratch_blocks t));
+    tc "layout: sharded wfrc scratch and caches are a line pair apart"
+      (fun () ->
+        let t = Wfrc.create (sharded ()) in
+        check_bool "has caches" true
+          (List.exists
+             (fun (b : B.owned) -> b.label = "cslots")
+             (Wfrc.Gc.scratch_blocks t));
+        check_layout "wfrc sharded" (fun () -> Wfrc.Gc.scratch_blocks t));
+    tc "layout: lfrc scratch blocks are a line pair apart" (fun () ->
+        let t = Lfrc.create (cfg ()) in
+        check_layout "lfrc" (fun () -> Lfrc.scratch_blocks t);
+        let t = Lfrc.create (sharded ()) in
+        check_layout "lfrc sharded" (fun () -> Lfrc.scratch_blocks t));
+    tc "layout: hp per-thread records are a line pair apart" (fun () ->
+        let t = Hazard.create (cfg ()) in
+        check_layout "hp" (fun () -> Hazard.scratch_blocks t);
+        let t = Hazard.create (sharded ()) in
+        check_layout "hp sharded" (fun () -> Hazard.scratch_blocks t));
+    tc "layout: ebr per-thread records are a line pair apart" (fun () ->
+        let t = Epoch.create (cfg ()) in
+        check_layout "ebr" (fun () -> Epoch.scratch_blocks t);
+        let t = Epoch.create (sharded ()) in
+        check_layout "ebr sharded" (fun () -> Epoch.scratch_blocks t));
+    tc "layout: pqueue level generators are a line pair apart" (fun () ->
+        let mm = mm_of "wfrc" (cfg ~num_links:4 ~num_data:3 ()) in
+        let q = Structures.Pqueue.create mm ~seed:1 ~tid:0 in
+        check_layout "pqueue" (fun () -> Structures.Pqueue.scratch_blocks q));
+  ]
+
 let suite =
   cell_tests @ equivalence_tests @ sharded_equivalence_tests
-  @ freestore_custody_tests @ park_wake_tests @ hook_tests
+  @ freestore_custody_tests @ park_wake_tests @ hook_tests @ layout_tests

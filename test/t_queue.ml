@@ -141,10 +141,12 @@ let conc_tests scheme =
         ignore mm);
   ]
 
-(* Dequeue reads the tail root uncounted and null-tests the sentinel's
-   next link before it derefs it: a non-empty dequeue derefs the head
-   and that link, an empty one the head alone. Enqueue reads
-   [last.next] uncounted: only the tail is dereferenced. *)
+(* Dequeue reads the tail root and the sentinel's next link uncounted:
+   on the refcounted schemes the held head's link pins its successor,
+   so a dequeue derefs the head alone, empty or not. On hp the hazard
+   protects the new head's value, so a non-empty dequeue derefs the
+   link too. Enqueue reads [last.next] uncounted: only the tail is
+   dereferenced. *)
 let budget_tests =
   let count ev mm f =
     let ctr = Mm.counters mm in
@@ -154,9 +156,21 @@ let budget_tests =
   in
   let derefs = count Atomics.Counters.Deref in
   [
-    tc "wfrc: dequeue from a non-empty queue costs exactly 2 derefs"
+    tc "wfrc: dequeue from a non-empty queue costs exactly 1 deref"
       (fun () ->
         let mm, q = mk "wfrc" () in
+        List.iter (Queue_.enqueue q ~tid:0) [ 1; 2 ];
+        let releases =
+          count Atomics.Counters.Release mm (fun () ->
+              check_int "derefs" 1
+                (derefs mm (fun () ->
+                     check_bool "deq 1" true (Queue_.dequeue q ~tid:0 = Some 1))))
+        in
+        (* [first], and the head link's share the swing drops *)
+        check_int "releases" 2 releases;
+        check_bool "FIFO" true (Queue_.drain q ~tid:0 = [ 2 ]));
+    tc "hp: dequeue from a non-empty queue costs exactly 2 derefs" (fun () ->
+        let mm, q = mk "hp" () in
         List.iter (Queue_.enqueue q ~tid:0) [ 1; 2 ];
         check_int "derefs" 2
           (derefs mm (fun () ->

@@ -283,4 +283,70 @@ let alloc_free_prop =
       in
       first 0 (script_run B.Sim case, script_run B.Native case))
 
-let suite = [ deref_prop; scan_prop; alloc_free_prop ]
+(* ---- ReleaseRef R1–R3: [Words.release_collect] against the Sim arm - *)
+
+(* (links per node, the released node's handle - 1, its mm_ref, its
+   link words). A link word [v] is null for 0, node [v] for [v > 0]
+   and node [-v] marked for [v < 0]. *)
+let collect_case =
+  QCheck.(
+    quad (int_range 0 3) (int_range 0 (cap - 1)) (int_range 0 6)
+      (list_of_size (Gen.return 3) (int_range (-cap) cap)))
+
+(* Never a link word, so a deposit cannot be mistaken for it. *)
+let untouched = min_int
+
+let collect_run backend (nl, target, rc, links) =
+  let arena =
+    Arena.create ~backend
+      ~layout:(Shmem.Layout.create ~num_links:nl ~num_data:1)
+      ~capacity:cap ~num_roots ()
+  in
+  (* non-zero data words, so a collect that runs past the links shows *)
+  for h = 1 to cap do
+    Arena.write_data arena (Value.of_handle h) 0 (100 + h)
+  done;
+  let p = Value.of_handle (target + 1) in
+  Arena.write arena (Arena.mm_ref_addr arena p) rc;
+  List.iteri
+    (fun i v ->
+      if i < nl && v <> 0 then
+        let q = Value.of_handle (abs v) in
+        Arena.write_link arena p i (if v < 0 then Value.mark q else q))
+    links;
+  (* longer than [nl], as the managers' padded buffers are *)
+  let out = Array.make (nl + B.cache_line_words) untouched in
+  let count = Arena.release_collect arena p ~out in
+  let words =
+    List.concat
+      (List.init cap (fun i ->
+           let q = Value.of_handle (i + 1) in
+           let field f v = (Printf.sprintf "node%d.%s" (i + 1) f, v) in
+           field "mm_ref" (Arena.read_mm_ref arena q)
+           :: field "mm_next" (Arena.read_mm_next arena q)
+           :: field "data0" (Arena.read_data arena q 0)
+           :: List.init nl (fun l ->
+                  field (Printf.sprintf "link%d" l) (Arena.read_link arena q l))))
+  in
+  let deposits =
+    List.mapi (fun i v -> (Printf.sprintf "out[%d]" i, v)) (Array.to_list out)
+  in
+  (count, words @ deposits, out)
+
+let collect_prop =
+  prop "release_collect = the Sim R1-R3 sequence, word for word" collect_case
+    (fun ((nl, _, _, _) as case) ->
+      let cs, ws, _ = collect_run B.Sim case in
+      let cn, wn, out = collect_run B.Native case in
+      let padding =
+        List.filter_map
+          (fun i ->
+            if out.(i) = untouched then None
+            else Some (Printf.sprintf "native wrote padding out[%d]" i))
+          (List.init (Array.length out - nl) (fun k -> nl + k))
+      in
+      (if cs = cn then []
+       else [ Printf.sprintf "count: sim %d, native %d" cs cn ])
+      @ diff_words ws wn @ padding)
+
+let suite = [ deref_prop; scan_prop; alloc_free_prop; collect_prop ]
