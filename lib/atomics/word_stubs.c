@@ -117,19 +117,6 @@ CAMLprim value caml_wfrc_words_swap(value vw, value vi, value vx)
  * unfused Ann.set_index makes the same test), so neither arm issues
  * the same-value store. */
 
-/* ReleaseRef lines R1-R2 on one mm_ref word: FAA(-2), then claim with
- * CAS(0 -> 1) if the count dropped to zero. Returns 1 if this caller
- * claimed the node. */
-CAMLprim value caml_wfrc_words_release_ref(value vw, value vi)
-{
-  uintnat *p = Words_val(vw)->base + Long_val(vi);
-  uintnat expected = 0;
-  (void)__atomic_fetch_sub(p, 2, __ATOMIC_SEQ_CST);            /* R1 */
-  if (__atomic_load_n(p, __ATOMIC_SEQ_CST) != 0) return Val_false;
-  return Val_bool(__atomic_compare_exchange_n(                 /* R2 */
-      p, &expected, 1, 0, __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST));
-}
-
 /* AllocNode line A4's collect: load the annAlloc word; if non-null,
  * take it with an atomic exchange. Returns the taken word or 0. */
 CAMLprim value caml_wfrc_words_take(value vw, value vi)
@@ -150,7 +137,8 @@ CAMLprim value caml_wfrc_words_read_clear(value vw, value vi)
   return Val_long((intnat)v);
 }
 
-/* ReleaseRef lines R1-R3 whole: FAA(-2) and claim as in release_ref;
+/* ReleaseRef lines R1-R3 whole on one node: FAA(-2) on its mm_ref
+ * word, then claim it with CAS(0 -> 1) if the count dropped to zero;
  * if claimed, read-and-clear the node's [nl] contiguous link words,
  * depositing the non-null ones in order into [vout] (an OCaml int
  * array — immediates need no write barrier). Returns the number

@@ -34,10 +34,6 @@ external unsafe_ann_scan : raw -> int array -> int -> int -> int
   = "caml_wfrc_ann_scan"
 [@@noalloc]
 
-external unsafe_release_ref : raw -> int -> bool
-  = "caml_wfrc_words_release_ref"
-[@@noalloc]
-
 external unsafe_take : raw -> int -> int = "caml_wfrc_words_take" [@@noalloc]
 
 external unsafe_read_clear : raw -> int -> int = "caml_wfrc_words_read_clear"
@@ -93,10 +89,6 @@ let[@inline] swap t i v =
 (* Fused protocol fragments: one stub call for a short fixed sequence
    of atomic ops (see word_stubs.c). Identical per-word behaviour to
    issuing the ops through [faa]/[get]/[cas]/... individually. *)
-
-let[@inline] release_ref t i =
-  check t i;
-  unsafe_release_ref t.raw i
 
 let[@inline] take t i =
   check t i;

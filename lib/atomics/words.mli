@@ -33,14 +33,9 @@ val swap : t -> int -> int -> int
 
     Each call performs a short fixed sequence of atomic operations in
     one stub crossing — per-word behaviour identical to issuing the
-    ops individually, which is what the [Sim] stores do.
-    These exist because call overhead, not the atomics, dominates the
-    native hot path. *)
-
-val release_ref : t -> int -> bool
-(** [release_ref t i]: FAA the word at [i] by [-2], then, if it then
-    reads 0, claim it with CAS(0 → 1). True iff claimed (the paper's
-    R1–R2 on an [mm_ref] word). *)
+    ops individually, which is what the [Sim] stores do. The ops run
+    back to back, without an OCaml wrapper call and a crossing per
+    op. *)
 
 val take : t -> int -> int
 (** [take t i]: load the word; if non-zero, atomically exchange it
@@ -54,10 +49,11 @@ val read_clear : t -> int -> int
 val release_collect : t -> ref_addr:int -> links:int -> nl:int ->
   out:int array -> int
 (** [release_collect t ~ref_addr ~links ~nl ~out]: R1–R3 whole.
-    As {!release_ref} on [ref_addr]; if claimed, read-and-clear the
-    [nl] contiguous link words at [links], depositing the non-null
-    values in order into [out] (length ≥ [nl]) and returning how many;
-    [-1] when not claimed. *)
+    FAA the word at [ref_addr] by [-2], then, if it then reads 0,
+    claim it with CAS(0 → 1) (the paper's R1–R2 on an [mm_ref] word);
+    if claimed, read-and-clear the [nl] contiguous link words at
+    [links], depositing the non-null values in order into [out]
+    (length ≥ [nl]) and returning how many; [-1] when not claimed. *)
 
 val take_fix : t -> int -> arena:t -> geom:int array -> int
 (** [take_fix t slot ~arena ~geom]: A4 whole. As {!take} on [slot];

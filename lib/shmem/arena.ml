@@ -207,15 +207,6 @@ let write_data t p j v = write t (data_addr t p j) v
    ops through the per-word entry points — the same scheduling points
    in the same order as ever. *)
 
-(* ReleaseRef R1-R2: drop a reference; true iff the count hit zero and
-   this caller claimed the node with the CAS(0 -> 1). *)
-let release_mm_ref t p =
-  match t.store with
-  | Raw w -> Words.release_ref w (mm_ref_addr t p)
-  | Cells _ ->
-      faa_mm_ref t p (-2);
-      read_mm_ref t p = 0 && cas_mm_ref t p ~old:0 ~nw:1
-
 (* R3's per-link collect: read the link word and clear it. Only valid
    while the caller owns the node exclusively (post-R2). *)
 let read_clear_link t p i =
@@ -226,9 +217,10 @@ let read_clear_link t p i =
       write_link t p i 0;
       v
 
-(* R1-R3 whole: release, and when this caller claimed the node,
-   read-and-clear every link word, depositing the non-null values in
-   slot order into [out] (length >= num_links). Returns the deposit
+(* R1-R3 whole: drop a reference (R1), claim the node with the
+   CAS(0 -> 1) if the count hit zero (R2), and when this caller
+   claimed it, read-and-clear every link word, depositing the non-null
+   values in slot order into [out] (length >= num_links). Returns the deposit
    count, or -1 when not claimed. One stub crossing under [Raw] — the
    node's links are physically contiguous from link 0. *)
 let release_collect t p ~out =
@@ -239,7 +231,8 @@ let release_collect t p ~out =
       Words.release_collect w ~ref_addr:nb ~links:(nb + Layout.header_size)
         ~nl ~out
   | Cells _ ->
-      if release_mm_ref t p then begin
+      faa_mm_ref t p (-2);
+      if read_mm_ref t p = 0 && cas_mm_ref t p ~old:0 ~nw:1 then begin
         let count = ref 0 in
         for i = 0 to nl - 1 do
           let v = read_link t p i in

@@ -90,16 +90,13 @@ val write_data : t -> Value.ptr -> int -> int -> unit
     One stub crossing under [Native]; under [Sim] the same per-word
     ops are issued individually (one scheduling point each). *)
 
-val release_mm_ref : t -> Value.ptr -> bool
-(** ReleaseRef R1–R2: FAA the node's [mm_ref] by [-2]; true iff it
-    then read 0 and this caller claimed it with CAS(0 → 1). *)
-
 val read_clear_link : t -> Value.ptr -> int -> int
 (** R3's per-link collect: read link [i] and store 0. Caller must own
     the node exclusively (post-R2). *)
 
 val release_collect : t -> Value.ptr -> out:int array -> int
-(** R1–R3 whole: {!release_mm_ref}, and if the node was claimed,
+(** R1–R3 whole: FAA the node's [mm_ref] by [-2]; if it then reads 0,
+    claim it with CAS(0 → 1), and if this caller claimed it,
     read-and-clear every link word, depositing the non-null values in
     slot order into [out] (length ≥ the layout's [num_links]).
     Returns the deposit count, or [-1] when not claimed. *)

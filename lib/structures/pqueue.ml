@@ -17,9 +17,14 @@
    therefore refuses non-RC managers. [terminate] is never called.
 
    Node layout: links 0..max_level-1 = next pointers; data 0 = key,
-   data 1 = value, data 2 = level. Keys must be < max_int (the search
-   pass for physical deletion probes key+1). Duplicate keys are
-   allowed; equal keys are delivered in arbitrary relative order. *)
+   data 1 = value, data 2 = level. Keys min_int and max_int are the
+   sentinels'. Duplicate keys are allowed: every level orders nodes on
+   (key, handle), so equal keys sit in the same order at each level and
+   every link points forward. Ordered by link time, level by level,
+   two deleted duplicates could link to each other (level 0 B -> A,
+   level 1 A -> B) and pin each other in a reference cycle once
+   unlinked. Equal keys are delivered in handle order, which is
+   arbitrary to the caller. *)
 
 module Mm = Mm_intf
 module Value = Shmem.Value
@@ -92,11 +97,17 @@ let random_level t ~tid =
 
 let release t ~tid p = if not (Value.is_null p) then Mm.release t.mm ~tid p
 
+(* [reached t x k h]: non-sentinel node [x] sits at or past position
+   (k, h) in the (key, handle) order. *)
+let reached t x k h =
+  let kx = key t x in
+  kx > k || (kx = k && Value.handle x >= h)
+
 (* Walk level [i] from [pred] (whose reference we consume) to the
-   first live node with key >= k, unlinking marked nodes en route.
+   first live node at or past (k, h), unlinking marked nodes en route.
    Returns references on both (pred', succ). Raises [Restart] (with
    everything released) if the walk loses its footing. *)
-let rec walk_level t ~tid i k pred =
+let rec walk_level t ~tid i k h pred =
   let w = Mm.deref t.mm ~tid (next_addr t pred i) in
   if Value.is_marked w then begin
     (* pred itself has been deleted at this level. *)
@@ -107,7 +118,7 @@ let rec walk_level t ~tid i k pred =
   else begin
     let x = w in
     (* Level-i successors are never null: tail bounds every level. *)
-    if x = t.tail || key t x >= k then (pred, x)
+    if x = t.tail || reached t x k h then (pred, x)
     else begin
       let xn = Mm.deref t.mm ~tid (next_addr t x i) in
       if Value.is_marked xn then begin
@@ -118,7 +129,7 @@ let rec walk_level t ~tid i k pred =
         in
         release t ~tid xn;
         release t ~tid x;
-        if ok then walk_level t ~tid i k pred
+        if ok then walk_level t ~tid i k h pred
         else begin
           release t ~tid pred;
           raise Restart
@@ -127,14 +138,15 @@ let rec walk_level t ~tid i k pred =
       else begin
         release t ~tid xn;
         release t ~tid pred;
-        walk_level t ~tid i k x
+        walk_level t ~tid i k h x
       end
     end
   end
 
-(* Full search: per-level (pred, succ) pairs with references held on
-   every entry. The caller must release all 2*max_level references. *)
-let search t ~tid k =
+(* Full search for position (k, h): per-level (pred, succ) pairs with
+   references held on every entry. The caller must release all
+   2*max_level references. *)
+let search t ~tid k h =
   let l = t.max_level in
   let preds = Array.make l Value.null in
   let succs = Array.make l Value.null in
@@ -150,7 +162,7 @@ let search t ~tid k =
     match
       let pred = ref (Mm.copy_ref t.mm ~tid t.head) in
       for i = l - 1 downto 0 do
-        let p, s = walk_level t ~tid i k !pred in
+        let p, s = walk_level t ~tid i k h !pred in
         preds.(i) <- p;
         succs.(i) <- s;
         if i > 0 then pred := Mm.copy_ref t.mm ~tid p
@@ -183,8 +195,9 @@ let insert t ~tid k v =
     Mm.store_link t.mm ~tid (next_addr t n i) Value.null
   done;
   (* Link the bottom level; retry with a fresh search on conflict. *)
+  let hn = Value.handle n in
   let rec link_bottom () =
-    let (preds, succs) = search t ~tid k in
+    let (preds, succs) = search t ~tid k hn in
     (* Initialise every level's next before the node becomes visible,
        so no link of a visible node is ever null (markable). *)
     for i = 0 to lvl - 1 do
@@ -219,7 +232,7 @@ let insert t ~tid k v =
            release t ~tid cur;
            if not ok then begin
              release_search t ~tid (!preds, !succs);
-             let p, s = search t ~tid k in
+             let p, s = search t ~tid k hn in
              preds := p;
              succs := s;
              link_level ()
@@ -231,7 +244,7 @@ let insert t ~tid k v =
            then ()
            else begin
              release_search t ~tid (!preds, !succs);
-             let p, s = search t ~tid k in
+             let p, s = search t ~tid k hn in
              preds := p;
              succs := s;
              link_level ()
@@ -246,7 +259,7 @@ let insert t ~tid k v =
            then ()
            else begin
              release_search t ~tid (!preds, !succs);
-             let p, s = search t ~tid k in
+             let p, s = search t ~tid k hn in
              preds := p;
              succs := s;
              link_level ()
@@ -322,9 +335,9 @@ let delete_min t ~tid =
             for i = 1 to level_of t x - 1 do
               mark_level t ~tid x i
             done;
-            (* Physical deletion: a search past key k unlinks every
-               marked node with key <= k it encounters, including x. *)
-            release_search t ~tid (search t ~tid (k + 1));
+            (* Physical deletion: a search just past x's position
+               unlinks every marked node before it, including x. *)
+            release_search t ~tid (search t ~tid k (Value.handle x + 1));
             release t ~tid x;
             Some (k, v)
           end
@@ -388,9 +401,8 @@ let drain t ~tid =
      passes it; one full search unlinks every marked node at every
      level, releasing the last structure-held references. *)
   Mm.enter_op t.mm ~tid;
-  (* k = max_int: only the tail sentinel satisfies key >= k, so the
-     walk passes (and cleans) every user node, including key
-     max_int - 1. *)
-  release_search t ~tid (search t ~tid max_int);
+  (* (max_int, 0): only the tail sentinel sits there, so the walk
+     passes (and cleans) every user node, including key max_int - 1. *)
+  release_search t ~tid (search t ~tid max_int 0);
   Mm.exit_op t.mm ~tid;
   out

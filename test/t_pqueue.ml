@@ -210,6 +210,69 @@ let sim_tests =
             (body, check)));
   ]
 
+(* Equal keys ordered by link time, separately at each level, let two
+   deleted duplicates link to each other (level 0 B -> A, level 1
+   A -> B) and pin each other in a reference cycle once unlinked; a
+   node kept by such a cycle shows in [free_count] or the audit. *)
+let dup_key_sim_tests =
+  [
+    tc "wfrc pq: duplicate keys leave no reference cycle (sweep)" (fun () ->
+        sweep_ok ~runs:200 ~threads:2 (fun () ->
+            let mm, pq = mk "wfrc" ~capacity:32 ~links:4 () in
+            let body tid =
+              for i = 1 to 3 do
+                Pq.insert pq ~tid 5 ((tid * 10) + i)
+              done;
+              ignore (Pq.delete_min pq ~tid)
+            in
+            let check () =
+              let rest = Pq.drain pq ~tid:0 in
+              if List.length rest <> 4 then failwith "lost a key";
+              Mm.validate mm;
+              if Mm.free_count mm <> 30 then
+                failwith
+                  (Printf.sprintf "leak: %d of 30 nodes free"
+                     (Mm.free_count mm))
+            in
+            (body, check)));
+    tc "duplicate keys leak nothing on real domains (wfrc x2, lockrc x4)"
+      (fun () ->
+        (* 1 in 8 keys equal, a third delete_min, then drain and
+           audit. *)
+        List.iter
+          (fun (scheme, threads) ->
+            for run = 1 to 3 do
+              let cfg =
+                Mm.config ~backend:Atomics.Backend.Native ~threads
+                  ~capacity:20_000 ~num_links:6 ~num_data:3 ~num_roots:1 ()
+              in
+              let mm = mm_of scheme cfg in
+              let pq = Pq.create mm ~seed:(run * 31) ~tid:0 in
+              Mm.store_link mm ~tid:0
+                (Shmem.Arena.root_addr (Mm.arena mm) 0)
+                (Pq.head_ptr pq);
+              ignore
+                (Harness.Runner.run ~threads (fun ~tid ->
+                     let rng = Sched.Rng.create ((run * 101) + tid) in
+                     for _ = 1 to 3_000 do
+                       if Sched.Rng.int rng 3 = 0 then
+                         ignore (Pq.delete_min pq ~tid)
+                       else
+                         let k =
+                           if Sched.Rng.int rng 8 = 0 then max_int - 1
+                           else Sched.Rng.int rng 1_000_000
+                         in
+                         try Pq.insert pq ~tid k 0
+                         with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ()
+                     done));
+              ignore (Pq.drain pq ~tid:0);
+              check_int
+                (Printf.sprintf "%s x%d run %d leaked" scheme threads run)
+                0 (Harness.Audit.run mm).leaked
+            done)
+          [ ("wfrc", 2); ("lockrc", 4) ]);
+  ]
+
 let level_tests =
   [
     tc "level distribution is geometric-ish" (fun () ->
@@ -229,7 +292,7 @@ let level_tests =
 let suite =
   List.concat_map seq_tests rc_schemes
   @ List.concat_map conc_tests rc_schemes
-  @ sim_tests @ level_tests
+  @ sim_tests @ dup_key_sim_tests @ level_tests
   @ [
       tc "non-RC schemes are rejected (the §1 applicability gap)" (fun () ->
           let cfg =

@@ -296,38 +296,48 @@ let collect_case =
 (* Never a link word, so a deposit cannot be mistaken for it. *)
 let untouched = min_int
 
-let collect_run backend (nl, target, rc, links) =
+(* A [cap]-node arena with [nl] links per node and non-zero data
+   words, so a collect that runs past the links shows. *)
+let link_arena backend nl =
   let arena =
     Arena.create ~backend
       ~layout:(Shmem.Layout.create ~num_links:nl ~num_data:1)
       ~capacity:cap ~num_roots ()
   in
-  (* non-zero data words, so a collect that runs past the links shows *)
   for h = 1 to cap do
     Arena.write_data arena (Value.of_handle h) 0 (100 + h)
   done;
+  arena
+
+(* A link word from a small code: null for 0, node [v] for [v > 0]
+   and node [-v] marked for [v < 0]. *)
+let link_word v =
+  if v = 0 then Value.null
+  else
+    let q = Value.of_handle (abs v) in
+    if v < 0 then Value.mark q else q
+
+let node_words arena ~nl =
+  List.concat
+    (List.init cap (fun i ->
+         let q = Value.of_handle (i + 1) in
+         let field f v = (Printf.sprintf "node%d.%s" (i + 1) f, v) in
+         field "mm_ref" (Arena.read_mm_ref arena q)
+         :: field "mm_next" (Arena.read_mm_next arena q)
+         :: field "data0" (Arena.read_data arena q 0)
+         :: List.init nl (fun l ->
+                field (Printf.sprintf "link%d" l) (Arena.read_link arena q l))))
+
+let collect_run backend (nl, target, rc, links) =
+  let arena = link_arena backend nl in
   let p = Value.of_handle (target + 1) in
   Arena.write arena (Arena.mm_ref_addr arena p) rc;
-  List.iteri
-    (fun i v ->
-      if i < nl && v <> 0 then
-        let q = Value.of_handle (abs v) in
-        Arena.write_link arena p i (if v < 0 then Value.mark q else q))
+  List.iteri (fun i v -> if i < nl then Arena.write_link arena p i (link_word v))
     links;
   (* longer than [nl], as the managers' padded buffers are *)
   let out = Array.make (nl + B.cache_line_words) untouched in
   let count = Arena.release_collect arena p ~out in
-  let words =
-    List.concat
-      (List.init cap (fun i ->
-           let q = Value.of_handle (i + 1) in
-           let field f v = (Printf.sprintf "node%d.%s" (i + 1) f, v) in
-           field "mm_ref" (Arena.read_mm_ref arena q)
-           :: field "mm_next" (Arena.read_mm_next arena q)
-           :: field "data0" (Arena.read_data arena q 0)
-           :: List.init nl (fun l ->
-                  field (Printf.sprintf "link%d" l) (Arena.read_link arena q l))))
-  in
+  let words = node_words arena ~nl in
   let deposits =
     List.mapi (fun i v -> (Printf.sprintf "out[%d]" i, v)) (Array.to_list out)
   in
@@ -349,4 +359,111 @@ let collect_prop =
        else [ Printf.sprintf "count: sim %d, native %d" cs cn ])
       @ diff_words ws wn @ padding)
 
-let suite = [ deref_prop; scan_prop; alloc_free_prop; collect_prop ]
+(* ---- R3's per-link collect: [Words.read_clear] through
+   [Arena.read_clear_link] against the Cells arm -------------------- *)
+
+(* (links per node - 1, every node's link words on a 3-wide grid,
+   coded as in [collect_case], then the (node, link) pairs to clear in
+   order; a link index is taken modulo the link count, so a pair can
+   clear the same word twice). *)
+let clear_case =
+  QCheck.(
+    triple (int_range 0 2)
+      (list_of_size (Gen.return (cap * 3)) (int_range (-cap) cap))
+      (list_of_size
+         Gen.(int_range 1 8)
+         (pair (int_range 0 (cap - 1)) (int_range 0 2))))
+
+let clear_run backend (nl, links, clears) =
+  let nl = nl + 1 in
+  let arena = link_arena backend nl in
+  for h = 1 to cap do
+    let p = Value.of_handle h in
+    Arena.write arena (Arena.mm_ref_addr arena p) h
+  done;
+  List.iteri
+    (fun k v ->
+      let h = (k / 3) + 1 and l = k mod 3 in
+      if l < nl then Arena.write_link arena (Value.of_handle h) l (link_word v))
+    links;
+  let got =
+    List.map
+      (fun (h, l) ->
+        Arena.read_clear_link arena (Value.of_handle (h + 1)) (l mod nl))
+      clears
+  in
+  (got, node_words arena ~nl)
+
+let clear_prop =
+  prop "read_clear = the Cells R3 load and store, word for word" clear_case
+    (fun case ->
+      let gs, ws = clear_run B.Sim case in
+      let gn, wn = clear_run B.Native case in
+      List.concat
+        (List.mapi
+           (fun i (s, n) ->
+             if s = n then []
+             else [ Printf.sprintf "clear %d: sim %d, native %d" i s n ])
+           (List.combine gs gn))
+      @ diff_words ws wn)
+
+(* ---- A4's collect: [Words.take] through [Hot.take] against the
+   Cells arm ------------------------------------------------------- *)
+
+module Hot = Atomics.Hot
+
+(* (slots - 1, script). A step (op, slot, v) writes [v] into the slot
+   for op 0 and takes it for op 1; a slot is taken modulo the count. *)
+let take_case =
+  QCheck.(
+    pair (int_range 0 3)
+      (list_of_size
+         Gen.(int_range 1 20)
+         (triple (int_range 0 1) (int_range 0 3) (int_range (-3) 5))))
+
+(* Per step what it did, then every slot word and, under [Native],
+   every padding word of the raw block that is not 0. *)
+let take_run backend (n, steps) =
+  let n = n + 1 in
+  let hot = Hot.create ~backend n ~init:(fun _ -> 0) in
+  let did =
+    List.map
+      (fun (op, slot, v) ->
+        let slot = slot mod n in
+        if op = 0 then begin
+          Hot.write hot slot v;
+          Printf.sprintf "write %d <- %d" slot v
+        end
+        else Printf.sprintf "take %d = %d" slot (Hot.take hot slot))
+      steps
+  in
+  let words =
+    List.init n (fun i -> (Printf.sprintf "slot[%d]" i, Hot.read hot i))
+  in
+  let stray =
+    match Hot.raw hot with
+    | None -> []
+    | Some w ->
+        List.filter_map
+          (fun j ->
+            if j mod B.cache_line_words = 0 || Atomics.Words.get w j = 0 then
+              None
+            else Some (Printf.sprintf "native wrote padding word %d" j))
+          (List.init (Atomics.Words.length w) Fun.id)
+  in
+  (did, words, stray)
+
+let take_prop =
+  prop "take = the Cells A4 read and exchange, word for word" take_case
+    (fun case ->
+      let ds, ws, _ = take_run B.Sim case in
+      let dn, wn, stray = take_run B.Native case in
+      List.concat
+        (List.map2
+           (fun s n ->
+             if s = n then [] else [ Printf.sprintf "sim %s; native %s" s n ])
+           ds dn)
+      @ diff_words ws wn @ stray)
+
+let suite =
+  [ deref_prop; scan_prop; alloc_free_prop; collect_prop; clear_prop; take_prop ]
