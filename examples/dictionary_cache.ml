@@ -36,7 +36,7 @@ let run_cache scheme =
           | 0 -> (
               (* fill *)
               try ignore (Structures.Hmap.insert cache ~tid k tid)
-              with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ())
+              with Mm.Out_of_nodes _ -> ())
           | 1 ->
               (* invalidate *)
               ignore (Structures.Hmap.remove cache ~tid k)

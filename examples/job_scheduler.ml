@@ -48,7 +48,7 @@ let () =
                 Structures.Pqueue.insert pq ~tid (deadline / 1000)
                   (now / 1000);
                 Atomic.incr submitted
-              with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ());
+              with Mm.Out_of_nodes _ -> ());
              (* small think time *)
              for _ = 1 to Sched.Rng.int rng 50 do
                Domain.cpu_relax ()

@@ -64,7 +64,7 @@ let duel scheme =
                    if ok then Mm.terminate mm ~tid old
                  end;
                  Mm.release mm ~tid b
-             | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ());
+             | exception Mm.Out_of_nodes _ -> ());
              Mm.exit_op mm ~tid
            done
          end));
@@ -107,7 +107,7 @@ let exact_steps scheme =
               ignore (Mm.cas_link mm ~tid root ~old ~nw:b);
               if not (Value.is_null old) then Mm.release mm ~tid old;
               Mm.release mm ~tid b
-          | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ()
+          | exception Mm.Out_of_nodes _ -> ()
         done
     in
     let policy = Sched.Policy.biased ~seed:(7000 + s) ~victim:0 ~weight:6 in

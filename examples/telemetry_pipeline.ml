@@ -38,7 +38,7 @@ let run_pipeline scheme =
                  Structures.Queue.enqueue q ~tid v;
                  incr sent;
                  Atomic.incr produced
-               with Mm.Out_of_memory | Mm.Out_of_nodes _ ->
+               with Mm.Out_of_nodes _ ->
                  (* queue full: drop the sample, as a real pipeline
                     under backpressure would *)
                  incr sent)

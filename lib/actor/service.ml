@@ -183,7 +183,7 @@ let spawn ?deadline t ~tid =
         None
       in
       match Q.create t.mm ~head_root:(2 * slot) ~tail_root:((2 * slot) + 1) ~tid with
-      | exception (Mm.Out_of_memory | Mm.Out_of_nodes _) -> rollback ()
+      | exception Mm.Out_of_nodes _ -> rollback ()
       | q -> (
           match
             (match (deadline, t.wheel) with
@@ -191,7 +191,7 @@ let spawn ?deadline t ~tid =
             | _ -> ());
             Hmap.insert t.registry ~tid id slot
           with
-          | exception (Mm.Out_of_memory | Mm.Out_of_nodes _) ->
+          | exception Mm.Out_of_nodes _ ->
               ignore (Q.destroy q ~tid);
               rollback ()
           | _inserted ->
@@ -225,7 +225,7 @@ let send t ~tid ~dst v =
             try
               Q.enqueue q ~tid v;
               true
-            with Mm.Out_of_memory | Mm.Out_of_nodes _ -> false)
+            with Mm.Out_of_nodes _ -> false)
         | None -> false
       else false
     in

@@ -419,19 +419,17 @@ let rec alloc_loop t ~tid ~help_id ~helped ~empty_scans =
                ~nw:((current + 1) mod (2 * t.n)));
           if empty_scans + 1 > t.oom_scan_limit then begin
             (* Exhausted every list [oom_scan_limit] times over. The
-               legacy/Sim config keeps the hard stop; the sharded
-               config first adopts dead peers' caches, then surfaces
+               sharded config first adopts dead peers' caches; then
                typed backpressure instead of an unbounded spin. *)
             match t.caches with
             | Some _ when adopt_dead_caches t ~tid > 0 ->
                 C.incr t.ctr ~tid Alloc_retry;
                 alloc_loop t ~tid ~help_id ~helped ~empty_scans:0
-            | Some _ ->
+            | _ ->
                 C.incr t.ctr ~tid Oom_backpressure;
                 raise
                   (Mm_intf.Out_of_nodes
                      { retries = empty_scans + 1; waits = 0 })
-            | None -> raise Mm_intf.Out_of_memory
           end
           else begin
             C.incr t.ctr ~tid Alloc_retry;
@@ -582,7 +580,7 @@ let fix_ref t node fix =
 (* ---------------- Quiescent inspection ----------------------------- *)
 
 (* The one quiescent walk: the accounting snapshot the post-run
-   auditor, [validate] and [free_count] all read. Never raises,
+   auditor, [validate] and [Mm_intf.free_count] all read. Never raises,
    reporting structural damage as violation strings instead.
    AnnAlloc donations are [pending] under the cell's owner (only that
    thread's A4 can collect them), and unretracted announcement
@@ -598,7 +596,7 @@ let custody t =
     Arena.iter_chain t.arena ~head:(Hot.read t.hot (hw_free i))
       ~violation:(fun () -> violation "cycle in freeList[%d]" i)
       ~f:
-        (Mm_intf.mark_free free ~violation:add
+        (Arena.mark_free free ~violation:add
            ~twice:(Printf.sprintf "node #%d on two free chains"))
   done;
   let pending = ref [] in
@@ -620,7 +618,7 @@ let custody t =
         (fun tid c ->
           for i = 0 to c.clen - 1 do
             ignore
-              (Mm_intf.mark_free free ~violation:add
+              (Arena.mark_free free ~violation:add
                  ~twice:
                    (Printf.sprintf "cache[%d] node #%d also on a free chain"
                       tid)
@@ -633,8 +631,6 @@ let custody t =
   in
   Mm_intf.
     { free; pending = !pending; pinned; violations = List.rev !violations }
-
-let free_count t = Mm_intf.count_free (custody t)
 
 (* The per-domain blocks the hot paths write, for the layout test. *)
 let scratch_blocks t =

@@ -23,7 +23,7 @@ val announcements : t -> Ann.t
 
 val alloc : t -> tid:int -> Shmem.Value.ptr
 (** [AllocNode] (A1–A18): returns a node with one reference
-    ([mm_ref = 2]). Raises {!Mm_intf.Out_of_memory} after the bounded
+    ([mm_ref = 2]). Raises {!Mm_intf.Out_of_nodes} after the bounded
     retry budget of the paper's footnote 4. *)
 
 val deref : t -> tid:int -> Shmem.Value.addr -> int
@@ -52,13 +52,10 @@ val fix_ref : t -> Shmem.Value.ptr -> int -> Shmem.Value.ptr
 
 val custody : t -> Mm_intf.custody
 (** The quiescent accounting snapshot the auditor, {!validate} and
-    {!free_count} all read: free chains and domain-local caches walked
-    defensively (damage reported in [violations], never raised),
+    [Mm_intf.free_count] all read: free chains and domain-local caches
+    walked defensively (damage reported in [violations], never raised),
     [annAlloc] donations as [pending] under the cell owner,
     unretracted announcement answers as [pinned] by the announcer. *)
-
-val free_count : t -> int
-(** {!Mm_intf.count_free} over {!custody}: free nodes plus [annAlloc] donations. *)
 
 val scratch_blocks : t -> Atomics.Backend.owned list
 (** Each thread's hot-path scratch (D1–D6 context, R3 collect buffer

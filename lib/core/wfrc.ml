@@ -66,7 +66,6 @@ let store_link t ~tid link p =
 let terminate _t ~tid:_ _p = ()
 
 let validate = Gc.validate
-let free_count = Gc.free_count
 let custody = Gc.custody
 
 (* Crash recovery: dead-slot adoption (quiescent-survivors). *)

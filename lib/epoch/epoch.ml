@@ -21,7 +21,7 @@ module C = Atomics.Counters
 module Value = Shmem.Value
 module Layout = Shmem.Layout
 module Arena = Shmem.Arena
-module Freestore = Shmem.Freestore
+module Pool = Shmem.Pool
 
 (* The record, [bags] and [bag_sizes] are owner-written on every
    retire and epoch change: all three are {!Atomics.Backend.padded}. *)
@@ -40,8 +40,7 @@ type t = {
   arena : Arena.t;
   ctr : C.t;
   global : P.cell;
-  head : P.cell; (* stamped free-pool head *)
-  store : Freestore.t option; (* sharded Native free store (else legacy) *)
+  pool : Pool.t;
   threads : per_thread array;
   advance_every : int;
   dead : Mm_intf.Dead.t; (* tids declared permanently stopped *)
@@ -62,30 +61,14 @@ let create (cfg : Mm_intf.config) =
     Arena.create ~backend ~layout ~capacity:cfg.capacity
       ~num_roots:cfg.num_roots ()
   in
-  for h = 1 to cfg.capacity do
-    let p = Value.of_handle h in
-    Arena.write_mm_next arena p
-      (if h < cfg.capacity then Value.of_handle (h + 1) else Value.null)
-  done;
   let ctr = C.create ~backend ~threads:cfg.threads () in
-  let store =
-    if Mm_intf.sharded cfg then
-      Some
-        (Freestore.create ~backend ~arena ~counters:ctr
-           ~shards:cfg.shards ~batch:cfg.batch ~threads:cfg.threads ())
-    else None
-  in
   {
     cfg;
     backend;
     arena;
     ctr;
     global = B.make_contended backend 0;
-    head =
-      B.make_contended backend
-        (Value.pack_stamped ~stamp:0
-           ~ptr:(if store = None then Value.of_handle 1 else Value.null));
-    store;
+    pool = Mm_intf.pool cfg ~arena ~counters:ctr;
     threads =
       Array.init cfg.threads (fun _ ->
           B.padded
@@ -108,21 +91,7 @@ let dead t = Mm_intf.Dead.to_list t.dead
 let pool_push t ~tid node =
   Mm_intf.Events.emit ~tid node Mm_intf.Events.Free;
   C.incr t.ctr ~tid Free;
-  match t.store with
-  | Some fs -> Freestore.free fs ~tid node
-  | None ->
-      let rec push () =
-        let hv = B.read t.backend t.head in
-        Arena.write_mm_next t.arena node (Value.stamped_ptr hv);
-        let nw =
-          Value.pack_stamped ~stamp:(Value.stamped_stamp hv + 1) ~ptr:node
-        in
-        if not (B.cas t.backend t.head ~old:hv ~nw) then begin
-          C.incr t.ctr ~tid Free_retry;
-          push ()
-        end
-      in
-      push ()
+  Pool.free t.pool ~tid node
 
 (* Free this thread's bag for epoch slot [(e+1) mod 3]: those nodes
    were retired at epoch [e-2] or earlier and every thread has since
@@ -169,90 +138,32 @@ let exit_op t ~tid =
   pt.ops <- pt.ops + 1;
   if pt.ops mod t.advance_every = 0 then try_advance t ~tid
 
+(* Under pool pressure, advance the epoch and drain our own bags up to
+   6 times before giving up. If another thread is stalled inside an
+   epoch this cannot make progress — EBR's reclamation is blocking,
+   which is part of the comparison. We may hold epoch-protected
+   references ourselves, so we must not republish our epoch here: at
+   most one advance can happen while we are inside the bracket,
+   draining one bag generation, and collected nodes land in our own
+   cache, where the next pass sees them. *)
 let alloc t ~tid =
   C.incr t.ctr ~tid Alloc;
-  (* Under pool pressure, try to advance the epoch and drain our own
-     bags a few times before declaring out-of-memory. If another
-     thread is stalled inside an epoch this cannot make progress —
-     EBR's reclamation is blocking, which is part of the comparison. *)
-  let pressure = ref 0 in
-  let under_pressure () =
-    if !pressure >= 6 then raise Mm_intf.Out_of_memory;
-    incr pressure;
-    (* NB: we may hold epoch-protected references ourselves, so we
-       must not republish our epoch here; at most one advance can
-       happen while we are inside the bracket, draining one bag
-       generation. *)
-    try_advance t ~tid;
-    let e = B.read t.backend t.global in
-    let pt = t.threads.(tid) in
-    if e <> pt.last_seen then begin
-      pt.last_seen <- e;
-      collect t ~tid e
-    end
+  let relief empty =
+    empty <= 6
+    && begin
+         try_advance t ~tid;
+         let e = B.read t.backend t.global in
+         let pt = t.threads.(tid) in
+         if e <> pt.last_seen then begin
+           pt.last_seen <- e;
+           collect t ~tid e
+         end;
+         true
+       end
   in
-  match t.store with
-  | Some fs ->
-      (* Collected nodes land in our own cache, so the next pass sees
-         them immediately. *)
-      let rec claim ~adopted =
-        match Freestore.alloc fs ~tid with
-        | Some node ->
-            Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
-            node
-        | None ->
-            if !pressure >= 6 then begin
-              (* Bounded degradation: adopt declared-dead peers'
-                 caches once, then surface typed backpressure — a
-                 crashed-in-bracket peer jams the epoch forever, so
-                 spinning further cannot make progress. *)
-              if (not adopted) && Freestore.adopt fs ~tid ~dead:(dead t) > 0
-              then claim ~adopted:true
-              else begin
-                C.incr t.ctr ~tid Oom_backpressure;
-                raise
-                  (Mm_intf.Out_of_nodes { retries = !pressure; waits = 0 })
-              end
-            end
-            else begin
-              under_pressure ();
-              C.incr t.ctr ~tid Alloc_retry;
-              claim ~adopted
-            end
-      [@@wfrc.bounded
-        "pressure counter: under_pressure advances !pressure toward the \
-         bound of 6 at every pass; the single reset is gated by the \
-         one-shot adopted flag, so at most 2*6 passes (each a bounded \
-         epoch-advance-and-collect) before typed Out_of_nodes"]
-      in
-      claim ~adopted:false
-  | None ->
-      let rec pop () =
-        let hv = B.read t.backend t.head in
-        let node = Value.stamped_ptr hv in
-        if Value.is_null node then begin
-          under_pressure ();
-          pop ()
-        end
-        else
-          let next = Arena.read_mm_next t.arena node in
-          let nw =
-            Value.pack_stamped ~stamp:(Value.stamped_stamp hv + 1) ~ptr:next
-          in
-          if B.cas t.backend t.head ~old:hv ~nw then begin
-            Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
-            node
-          end
-          else begin
-            C.incr t.ctr ~tid Alloc_retry;
-            pop ()
-          end
-      [@@wfrc.expect_unbounded
-        "stamped Treiber pop: the head CAS can lose to concurrent \
-         pushes/pops indefinitely, and exhaustion spins through epoch \
-         advances — the legacy lock-free allocation path"]
-      in
-      pop ()
+  let node = Pool.claim t.pool ~tid ~relief ~dead:t.dead in
+  Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
+  node
 
 (* Within the epoch bracket a plain read is already safe. *)
 let deref t ~tid link =
@@ -282,33 +193,18 @@ let terminate t ~tid p =
   pt.bags.(slot) <- Value.unmark p :: pt.bags.(slot);
   pt.bag_sizes.(slot) <- pt.bag_sizes.(slot) + 1
 
-(* The one quiescent walk, read by the auditor, [validate] and
-   [free_count]. Limbo bags are [pending] under their owner: only
-   that thread's [collect] empties them, so a crashed owner strands
-   every bag generation — and worse, if it crashed inside the bracket
-   ([active] still 1) the global epoch can never advance again and
-   {e every} thread's bags jam. That unbounded loss is the E12
+(* The one quiescent walk, read by the auditor and [validate]. Limbo
+   bags are [pending] under their owner: only that thread's [collect]
+   empties them, so a crashed owner strands every bag generation —
+   and worse, if it crashed inside the bracket ([active] still 1) the
+   global epoch can never advance again and {e every} thread's bags
+   jam. That unbounded loss is the E12
    comparison point. Nothing is [pinned] node-wise: epochs protect
    eras, not individual nodes. *)
 let custody t =
-  let cap = t.cfg.capacity in
-  let free = Array.make (cap + 1) false in
   let violations = ref [] in
   let violation s = violations := s :: !violations in
-  let record =
-    Mm_intf.mark_free free ~violation
-      ~twice:(Printf.sprintf "node #%d in the pool twice")
-  in
-  (match t.store with
-  | Some fs ->
-      (* Stripe chains, return buffers and caches are all [free]
-         custody for the auditor's partition. *)
-      Freestore.iter_free fs ~violation ~f:(fun p -> ignore (record p))
-  | None ->
-      Arena.iter_chain t.arena
-        ~head:(Value.stamped_ptr (B.read t.backend t.head))
-        ~violation:(fun () -> violation "cycle in free pool")
-        ~f:record);
+  let free = Pool.walk t.pool ~violation in
   let pending = ref [] in
   Array.iteri
     (fun tid pt ->
@@ -330,8 +226,6 @@ let custody t =
       violations = List.rev !violations;
     }
 
-let free_count t = Mm_intf.count_free (custody t)
-
 let scratch_blocks t =
   List.concat
     (List.mapi
@@ -342,7 +236,7 @@ let scratch_blocks t =
            B.owned ~owner:tid "bag_sizes" ~used:3 pt.bag_sizes;
          ])
        (Array.to_list t.threads))
-  @ match t.store with Some fs -> Freestore.scratch_blocks fs | None -> []
+  @ Pool.scratch_blocks t.pool
 
 (* Crash recovery: un-jam the epoch (a thread that crashed inside the
    bracket blocks [try_advance] forever), adopt the dead threads' bag
@@ -383,11 +277,7 @@ let recover t ~tid =
       me.last_seen <- e;
       collect t ~tid e
     done;
-    let cached =
-      match t.store with
-      | Some fs -> Freestore.adopt fs ~tid ~dead:(dead t)
-      | None -> 0
-    in
+    let cached = Pool.adopt t.pool ~tid ~dead:t.dead in
     let c = custody t in
     let kept = Array.make (t.cfg.capacity + 1) false in
     List.iter (fun (_, h) -> kept.(h) <- true) c.Mm_intf.pending;

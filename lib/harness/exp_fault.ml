@@ -311,8 +311,8 @@ let e13 ?(schemes = Registry.names) ?(ks = [ 1; 2 ]) ?(ops = 12)
 (*   native  real Domains, faults injected mid-fragment by Chaos at   *)
 (*           lifecycle-event boundaries, sharded store                *)
 (*   oom     free-store exhaustion with a dead holder: allocation     *)
-(*           must surface typed Out_of_nodes backpressure (bounded    *)
-(*           wait), dead-cache adoption must unblock allocation, and  *)
+(*           must stop at Out_of_nodes after a bounded wait, dead-    *)
+(*           cache adoption must unblock allocation, and              *)
 (*           full recovery must return the held nodes                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -323,7 +323,7 @@ type e16_acc = {
   mutable held_post : int;   (* max post-recovery crash_held *)
   mutable leaked : int;      (* max post-recovery leaked *)
   mutable pct_min : int;     (* min recovered*100/crash_held over runs *)
-  mutable oon : int;         (* runs that saw typed Out_of_nodes *)
+  mutable oon : int;         (* runs whose exhaustion raised Out_of_nodes *)
   mutable audited : int;
   mutable audits_ok : int;
 }
@@ -460,7 +460,7 @@ let e16_native spine scheme ~ops ~seeds =
 
 (* OOM leg (refcounted sharded schemes): exhaust the store while a
    crashed peer holds the last nodes. Allocation must terminate with
-   typed backpressure, not an unbounded park; declaring the peer dead
+   Out_of_nodes, not an unbounded park; declaring the peer dead
    must let the A7-style adoption path serve from its stranded cache;
    full recovery must return everything. Driven from the main domain
    with tid indices — manager ops need no engine. *)
@@ -475,19 +475,17 @@ let e16_oom spine scheme ~seed:_ =
   let mm = Registry.instantiate scheme cfg in
   Spine.wrap spine mm @@ fun () ->
   let hold tid =
-    let held = ref [] and typed = ref false in
+    let held = ref [] in
     (try
        for _ = 1 to capacity + 1 do
          held := Mm.alloc mm ~tid :: !held
        done
-     with
-    | Mm.Out_of_nodes _ -> typed := true
-    | Mm.Out_of_memory -> ());
-    (!held, !typed)
+     with Mm.Out_of_nodes _ -> ());
+    !held
   in
   (* The doomed peer takes everything it can, parks a cache-full back
      (those are the nodes only adoption can reach), then crashes. *)
-  let held1, _ = hold 1 in
+  let held1 = hold 1 in
   let parked, kept =
     let rec split n acc = function
       | p :: rest when n > 0 -> split (n - 1) (p :: acc) rest
@@ -497,23 +495,24 @@ let e16_oom spine scheme ~seed:_ =
   in
   List.iter (fun p -> Mm.release mm ~tid:1 p) parked;
   ignore kept;
-  (* Survivor: exhaustion must surface as typed backpressure, after a
-     bounded number of scans/parks. *)
-  let held0, typed = hold 0 in
-  if typed then acc.oon <- acc.oon + 1;
+  (* Survivor: exhaustion must surface as Out_of_nodes, after a
+     bounded number of scans/parks: capacity + 1 allocations cannot
+     all succeed, so returning at all means it did. *)
+  let held0 = hold 0 in
+  if List.length held0 <= capacity then acc.oon <- acc.oon + 1;
   List.iter (fun p -> Mm.release mm ~tid:0 p) held0;
   (* Declaring the peer dead unblocks allocation through dead-cache
      adoption alone (the in-alloc A7 path), before any full pass. *)
   Mm.declare_dead mm ~tid:1;
   (match Mm.alloc mm ~tid:0 with
   | p -> Mm.release mm ~tid:0 p
-  | exception (Mm.Out_of_nodes _ | Mm.Out_of_memory) ->
+  | exception Mm.Out_of_nodes _ ->
       acc.skipped <- acc.skipped + 1);
   (* Full recovery returns the crashed holder's references too. *)
   e16_absorb acc (Recovery.run ~dead:[ 1 ] ~by:0 mm);
   (match Mm.alloc mm ~tid:0 with
   | p -> Mm.release mm ~tid:0 p
-  | exception (Mm.Out_of_nodes _ | Mm.Out_of_memory) ->
+  | exception Mm.Out_of_nodes _ ->
       acc.skipped <- acc.skipped + 1);
   acc
 
@@ -576,13 +575,14 @@ let e16 ?(schemes = Registry.names) ?(ops = 24) ?(native_ops = 2_000)
         "native leg: real Domains over the sharded store; Chaos fires \
          the crash mid-fragment at a lifecycle-event boundary and \
          stalls one thread through a 2 ms window (it resumes and \
-         finishes); oon counts runs where churn saw typed Out_of_nodes \
-         backpressure";
+         finishes); oon counts runs where churn's allocation ran out and \
+         raised Out_of_nodes";
         "oom leg: a peer takes the whole arena, parks one cache-full \
-         and crashes; the survivor's exhausted alloc must raise typed \
-         Out_of_nodes (oon = 1), declaring the peer dead must unblock \
-         alloc via dead-cache adoption alone, and full recovery must \
-         return the held nodes (recovered ~ 100)";
+         and crashes; the survivor's exhausted alloc must stop at \
+         Out_of_nodes within its bounded wait, not hang (oon = 1), \
+         declaring the peer dead must unblock alloc via dead-cache \
+         adoption alone, and full recovery must return the held nodes \
+         (recovered ~ 100)";
       ]
     (List.rev !rows)
 

@@ -94,7 +94,7 @@ let e7_alloc ~spine ~scheme ~runs ~seed =
                 Lincheck.Specs.Alloc_ops.Unit)
             |> ignore
         | _ -> ()
-        | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ()
+        | exception Mm.Out_of_nodes _ -> ()
       done
     in
     let check () =
@@ -385,7 +385,7 @@ let e8 ?(threads_list = [ 1; 2; 4 ]) ?(capacity = 32) () =
                  while true do
                    held.(tid) <- Mm.alloc mm ~tid :: held.(tid)
                  done
-               with Mm.Out_of_memory | Mm.Out_of_nodes _ -> oom.(tid) <- 1));
+               with Mm.Out_of_nodes _ -> oom.(tid) <- 1));
         let allocated =
           Array.fold_left (fun a l -> a + List.length l) 0 held
         in
@@ -401,7 +401,7 @@ let e8 ?(threads_list = [ 1; 2; 4 ]) ?(capacity = 32) () =
         for tid = 0 to threads - 1 do
           match Mm.alloc mm ~tid with
           | p -> Mm.release mm ~tid p
-          | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ()
+          | exception Mm.Out_of_nodes _ -> ()
         done;
         let final_free = Mm.free_count mm in
         Mm.validate mm;

@@ -34,7 +34,7 @@ let churn mm ~threads ~ops =
           let p = Mm.alloc mm ~tid in
           Mm.release mm ~tid p;
           Mm.terminate mm ~tid p
-        with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ()
+        with Mm.Out_of_nodes _ -> ()
       done)
 
 (* The scaling gate over (domains, pairs/s) rows: any row counts,

@@ -55,7 +55,7 @@ let e4 ?(threads_list = [ 2; 4; 8 ]) ?(ops = 24) ?(runs = 80)
                     ignore (Mm.cas_link mm ~tid root ~old ~nw:b);
                     if not (Value.is_null old) then Mm.release mm ~tid old;
                     Mm.release mm ~tid b
-                | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ()
+                | exception Mm.Out_of_nodes _ -> ()
               end
             done
           in

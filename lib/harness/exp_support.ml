@@ -89,7 +89,7 @@ let pq_worker pq ~tid ops =
       match op with
       | Workload.Produce k -> (
           try Structures.Pqueue.insert pq ~tid (k + 1) tid
-          with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ())
+          with Mm.Out_of_nodes _ -> ())
       | Workload.Consume -> ignore (Structures.Pqueue.delete_min pq ~tid))
     ops
 
@@ -128,7 +128,7 @@ let churn_op mm ~root ~oom ~tid =
       end;
       if not ok then Mm.terminate mm ~tid b;
       Mm.release mm ~tid b
-  | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> oom := true);
+  | exception Mm.Out_of_nodes _ -> oom := true);
   Mm.exit_op mm ~tid
 
 (* Post-run drain: give every survivor a few empty operation brackets
@@ -148,7 +148,7 @@ let drain_survivors mm ~survivors =
       (fun tid ->
         match Mm.alloc mm ~tid with
         | p -> Mm.release mm ~tid p
-        | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ())
+        | exception Mm.Out_of_nodes _ -> ())
       survivors
 
 (* The burst-churn loop (E14, A3): each thread allocates bursts of up
@@ -172,7 +172,7 @@ let churn ~alloc ~release ~threads ~ops ~max_burst ~seed =
                held.(i) <- alloc ~tid;
                incr got
              done
-           with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ());
+           with Mm.Out_of_nodes _ -> ());
           for i = 0 to !got - 1 do
             release ~tid held.(i)
           done)

@@ -98,7 +98,7 @@ let e9 ?(schemes = Registry.names) ?(threads_list = [ 1; 2; 4 ])
                                try
                                  ignore
                                    (Structures.Oset.insert set ~tid k tid)
-                               with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ())
+                               with Mm.Out_of_nodes _ -> ())
                            | 2 | 3 ->
                                ignore (Structures.Oset.remove set ~tid k)
                            | _ -> ignore (Structures.Oset.mem set ~tid k)

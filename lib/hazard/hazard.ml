@@ -18,8 +18,8 @@
      multi-level skiplist (lib/structures/pqueue.ml) does not run on
      this scheme. That restriction is the paper's point.
 
-   The free pool is a stamp-tagged Treiber stack. Reference-count
-   fields exist in the arena but are not used by this scheme. *)
+   The free pool is [Shmem.Pool]. Reference-count fields exist in the
+   arena but are not used by this scheme. *)
 
 module P = Atomics.Primitives
 module B = Atomics.Backend
@@ -27,7 +27,7 @@ module C = Atomics.Counters
 module Value = Shmem.Value
 module Layout = Shmem.Layout
 module Arena = Shmem.Arena
-module Freestore = Shmem.Freestore
+module Pool = Shmem.Pool
 
 (* The record and [counts] are owner-written on every deref, release
    and retire: both are {!Atomics.Backend.padded}, so loops over
@@ -44,8 +44,7 @@ type t = {
   backend : B.t;
   arena : Arena.t;
   ctr : C.t;
-  head : P.cell;          (* stamped free-pool head *)
-  store : Freestore.t option; (* sharded Native free store (else legacy) *)
+  pool : Pool.t;
   threads : per_thread array;
   k : int;
   threshold : int;
@@ -73,11 +72,6 @@ let create (cfg : Mm_intf.config) =
     Arena.create ~backend ~layout ~capacity:cfg.capacity
       ~num_roots:cfg.num_roots ()
   in
-  for h = 1 to cfg.capacity do
-    let p = Value.of_handle h in
-    Arena.write_mm_next arena p
-      (if h < cfg.capacity then Value.of_handle (h + 1) else Value.null)
-  done;
   (* Enough slots for the deepest structure we ship plus slack. *)
   let k = max 16 ((2 * cfg.num_links) + 8) in
   (* Per-thread retirement threshold: bounded both by the classic
@@ -88,23 +82,12 @@ let create (cfg : Mm_intf.config) =
       (min (2 * k * cfg.threads) ((cfg.capacity / (4 * cfg.threads)) + 1))
   in
   let ctr = C.create ~backend ~threads:cfg.threads () in
-  let store =
-    if Mm_intf.sharded cfg then
-      Some
-        (Freestore.create ~backend ~arena ~counters:ctr
-           ~shards:cfg.shards ~batch:cfg.batch ~threads:cfg.threads ())
-    else None
-  in
   {
     cfg;
     backend;
     arena;
     ctr;
-    head =
-      B.make_contended backend
-        (Value.pack_stamped ~stamp:0
-           ~ptr:(if store = None then Value.of_handle 1 else Value.null));
-    store;
+    pool = Mm_intf.pool cfg ~arena ~counters:ctr;
     threads =
       Array.init cfg.threads (fun _ ->
           B.padded
@@ -153,111 +136,7 @@ let find_empty pt =
 let pool_push t ~tid node =
   Mm_intf.Events.emit ~tid node Mm_intf.Events.Free;
   C.incr t.ctr ~tid Free;
-  match t.store with
-  | Some fs -> Freestore.free fs ~tid node
-  | None ->
-      let rec push () =
-        let hv = B.read t.backend t.head in
-        Arena.write_mm_next t.arena node (Value.stamped_ptr hv);
-        let nw =
-          Value.pack_stamped ~stamp:(Value.stamped_stamp hv + 1) ~ptr:node
-        in
-        if not (B.cas t.backend t.head ~old:hv ~nw) then begin
-          C.incr t.ctr ~tid Free_retry;
-          push ()
-        end
-      in
-      push ()
-
-(* Forward declaration: [scan] is defined below but alloc needs it for
-   pressure-driven reclamation. *)
-let scan_ref :
-    (t -> tid:int -> unit) ref =
-  ref (fun _ ~tid:_ -> ())
-
-let alloc t ~tid =
-  C.incr t.ctr ~tid Alloc;
-  (* Register the fresh node in a hazard slot so the uniform "every
-     acquired reference is released" discipline of Mm_intf applies to
-     allocations too. The node is exclusively owned, so no validation
-     is needed. *)
-  let register node =
-    let pt = t.threads.(tid) in
-    let s = find_empty pt in
-    B.write t.backend pt.slots.(s) node;
-    pt.counts.(s) <- 1;
-    Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
-    node
-  in
-  let scanned = ref false in
-  match t.store with
-  | Some fs ->
-      (* Pool pressure: first reclaim our own retired backlog, then
-         retry bounded full passes — an empty pass may just mean the
-         free nodes are parked in other threads' caches. *)
-      let limit = (16 * t.cfg.threads) + 16 in
-      let rec claim rounds ~waits ~adopted =
-        match Freestore.alloc fs ~tid with
-        | Some node -> register node
-        | None ->
-            if not !scanned then begin
-              scanned := true;
-              !scan_ref t ~tid;
-              claim rounds ~waits ~adopted
-            end
-            else if rounds >= limit then begin
-              (* Bounded wait: adopt declared-dead peers' caches once,
-                 then surface typed backpressure rather than parking
-                 forever on nodes nobody will ever return. *)
-              if (not adopted) && Freestore.adopt fs ~tid ~dead:(dead t) > 0
-              then claim 0 ~waits ~adopted:true
-              else begin
-                C.incr t.ctr ~tid Oom_backpressure;
-                raise (Mm_intf.Out_of_nodes { retries = rounds; waits })
-              end
-            end
-            else begin
-              C.incr t.ctr ~tid Alloc_retry;
-              (* Park until a remote free publishes nodes; bounded
-                 timeout because other domains' caches are invisible
-                 to the store and produce no wake. *)
-              Freestore.wait_free fs ~tid ~timeout_ns:200_000;
-              claim (rounds + 1) ~waits:(waits + 1) ~adopted
-            end
-      [@@wfrc.bounded
-        "round counter: rounds advances toward limit at every pass; the \
-         scan retry and the adopt reset are each gated by a one-shot \
-         flag, so at most 2*limit+1 rounds before typed Out_of_nodes"]
-      in
-      claim 0 ~waits:0 ~adopted:false
-  | None ->
-      let rec pop () =
-        let hv = B.read t.backend t.head in
-        let node = Value.stamped_ptr hv in
-        if Value.is_null node then
-          if not !scanned then begin
-            (* pool pressure: reclaim our own retired backlog and retry *)
-            scanned := true;
-            !scan_ref t ~tid;
-            pop ()
-          end
-          else raise Mm_intf.Out_of_memory
-        else
-          let next = Arena.read_mm_next t.arena node in
-          let nw =
-            Value.pack_stamped ~stamp:(Value.stamped_stamp hv + 1) ~ptr:next
-          in
-          if B.cas t.backend t.head ~old:hv ~nw then register node
-          else begin
-            C.incr t.ctr ~tid Alloc_retry;
-            pop ()
-          end
-      [@@wfrc.expect_unbounded
-        "stamped Treiber pop: the head CAS can lose to concurrent \
-         pushes/pops indefinitely (plus a one-shot scan-and-retry on \
-         pool pressure) — the legacy lock-free allocation path"]
-      in
-      pop ()
+  Pool.free t.pool ~tid node
 
 let rec deref t ~tid link =
   C.incr t.ctr ~tid Deref;
@@ -357,31 +236,36 @@ let terminate t ~tid p =
   pt.retired_len <- pt.retired_len + 1;
   if pt.retired_len >= t.threshold then scan t ~tid
 
-(* The one quiescent walk, read by the auditor, [validate] and
-   [free_count]. [free] covers only the pool: retired nodes are
-   [pending] under their retiring thread (a crashed owner strands its
-   whole backlog — exactly the hazard-pointer failure mode the paper
-   contrasts with); published hazard slots are [pinned] (a crashed
-   thread never clears them, blocking every scanner forever). *)
+(* Pool pressure: reclaim our own retired backlog once, then park
+   (an empty pass on the sharded store may just mean the free nodes
+   sit in other threads' caches). The fresh node goes in a hazard slot
+   so the uniform "every acquired reference is released" discipline
+   of Mm_intf applies to allocations too; it is exclusively owned, so
+   no validation is needed. *)
+let alloc t ~tid =
+  C.incr t.ctr ~tid Alloc;
+  let node =
+    Pool.claim t.pool ~tid ~park:true
+      ~relief:(fun empty -> empty = 1 && (scan t ~tid; true))
+      ~dead:t.dead
+  in
+  let pt = t.threads.(tid) in
+  let s = find_empty pt in
+  B.write t.backend pt.slots.(s) node;
+  pt.counts.(s) <- 1;
+  Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
+  node
+
+(* The one quiescent walk, read by the auditor and [validate]. [free]
+   covers only the pool: retired nodes are [pending] under their
+   retiring thread (a crashed owner strands its whole backlog —
+   exactly the hazard-pointer failure mode the paper contrasts with);
+   published hazard slots are [pinned] (a crashed thread never clears
+   them, blocking every scanner forever). *)
 let custody t =
-  let cap = t.cfg.capacity in
-  let free = Array.make (cap + 1) false in
   let violations = ref [] in
   let violation s = violations := s :: !violations in
-  let record =
-    Mm_intf.mark_free free ~violation
-      ~twice:(Printf.sprintf "node #%d in the pool twice")
-  in
-  (match t.store with
-  | Some fs ->
-      (* Stripe chains, return buffers and caches are all [free]
-         custody for the auditor's partition. *)
-      Freestore.iter_free fs ~violation ~f:(fun p -> ignore (record p))
-  | None ->
-      Arena.iter_chain t.arena
-        ~head:(Value.stamped_ptr (B.read t.backend t.head))
-        ~violation:(fun () -> violation "cycle in free pool")
-        ~f:record);
+  let free = Pool.walk t.pool ~violation in
   let pending = ref [] and pinned = ref [] in
   Array.iteri
     (fun tid pt ->
@@ -407,8 +291,6 @@ let custody t =
       violations = List.rev !violations;
     }
 
-let free_count t = Mm_intf.count_free (custody t)
-
 let scratch_blocks t =
   List.concat
     (List.mapi
@@ -418,7 +300,7 @@ let scratch_blocks t =
            B.owned ~owner:tid "counts" ~used:t.k pt.counts;
          ])
        (Array.to_list t.threads))
-  @ match t.store with Some fs -> Freestore.scratch_blocks fs | None -> []
+  @ Pool.scratch_blocks t.pool
 
 (* Crash recovery: clear the dead threads' published hazard slots (a
    crashed reader pins its targets for every scanner, forever), adopt
@@ -454,11 +336,7 @@ let recover t ~tid =
       end
     done;
     scan t ~tid;
-    let cached =
-      match t.store with
-      | Some fs -> Freestore.adopt fs ~tid ~dead:(dead t)
-      | None -> 0
-    in
+    let cached = Pool.adopt t.pool ~tid ~dead:t.dead in
     let c = custody t in
     let kept = Array.make (t.cfg.capacity + 1) false in
     List.iter (fun (_, h) -> kept.(h) <- true) c.Mm_intf.pending;
@@ -496,8 +374,6 @@ let validate t =
               (Printf.sprintf "Hazard: thread %d slot %d not cleared" tid s))
         pt.slots)
     t.threads
-
-let () = scan_ref := scan
 
 (* Sentinels are never unlinked or retired, so they need no hazard:
    drop the allocation's slot. *)

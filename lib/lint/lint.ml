@@ -27,6 +27,7 @@
    fallback for callees outside the scan (stdlib, other libraries). *)
 
 open Parsetree
+open Source
 
 module Progress = Progress
 (* re-export: [lint] is a wrapped library whose interface module is
@@ -145,24 +146,6 @@ type summaries = {
      apply to them). *)
   mod_file : (string, string) Hashtbl.t;
 }
-
-let rec strip_params acc e =
-  match e.pexp_desc with
-  | Pexp_fun (lbl, _, pat, body) ->
-      let var =
-        match pat.ppat_desc with
-        | Ppat_var { txt; _ } -> txt
-        | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> txt
-        | _ -> "_"
-      in
-      let lbl =
-        match lbl with
-        | Asttypes.Nolabel -> None
-        | Asttypes.Labelled l | Asttypes.Optional l -> Some l
-      in
-      strip_params ((lbl, var) :: acc) body
-  | Pexp_newtype (_, body) -> strip_params acc body
-  | _ -> (List.rev acc, e)
 
 (* Resolve an applied function expression to an in-tree summary.
    [Lident f] resolves in the same file; [Ldot (M, f)] through the
@@ -345,9 +328,6 @@ let collect_functions summaries ~file str =
   in
   scan_structure str
 
-let module_of_file file =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
-
 (* Least fixpoint: flip a parameter to consuming when the body
    provably discharges it under the current table. Monotone, so
    iteration terminates. *)
@@ -388,11 +368,12 @@ let build_summaries structures =
 
 let dir_of file = Filename.basename (Filename.dirname file)
 
-(* Layers allowed to name the raw shared-memory primitives and the
-   native free store: the managers themselves plus the layers below
-   them. Everything else must go through Mm_intf. *)
+(* Layers allowed to name the raw shared-memory primitives: the
+   managers themselves plus the layers below them. Everything else
+   must go through Mm_intf. The native free store is named only by
+   the shmem layer: the managers draw from it through [Shmem.Pool]. *)
 let primitives_ok = [ "atomics"; "shmem"; "core"; "lfrc"; "hazard"; "epoch"; "lockrc" ]
-let freestore_ok = [ "shmem"; "core"; "lfrc"; "hazard"; "epoch"; "lockrc" ]
+let freestore_ok = [ "shmem" ]
 
 (* The raw unboxed word store is one tier below even the managers:
    only the atomics layer itself, the arena/freestore facades and the
@@ -461,18 +442,6 @@ let check_structure add ~summaries ~file str =
 
 (* ---------------- C sources ---------------------------------------- *)
 
-let rec collect_suffix ~suffix acc path =
-  if Sys.is_directory path then
-    Array.fold_left
-      (fun acc name ->
-        if name = "_build" || (String.length name > 0 && name.[0] = '.') then
-          acc
-        else collect_suffix ~suffix acc (Filename.concat path name))
-      acc (Sys.readdir path)
-  else if Filename.check_suffix path suffix then path :: acc
-  else acc
-
-let collect_ml acc path = collect_suffix ~suffix:".ml" acc path
 let collect_c acc path = collect_suffix ~suffix:".c" acc path
 
 let read_file file =
@@ -739,15 +708,6 @@ let check_counter_coverage add structures c_sources =
       end
 
 (* ---------------- Pass registry / driver --------------------------- *)
-
-let parse_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lb = Lexing.from_channel ic in
-      Lexing.set_filename lb file;
-      Parse.implementation lb)
 
 let passes =
   [

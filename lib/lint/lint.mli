@@ -18,8 +18,9 @@
          callees outside the scan. The null-guard idiom
          [if not (is_null w) then ... release w ...] is understood.}
       {- [raw-primitives]: [Primitives], [Freestore] and [Words] may
-         only be named inside the layers that own them; client code
-         must go through [Mm_intf].}
+         only be named inside the layers that own them ([Freestore]
+         only in [lib/shmem]: the managers draw from [Shmem.Pool]);
+         client code must go through [Mm_intf].}
       {- [parse]: a file that does not parse.}}
     - [counter-coverage] — every constructor of [Counters.event] must
       be constructed somewhere in the scanned tree ([.ml]

@@ -46,6 +46,7 @@
    regression to bounded is also a finding. *)
 
 open Parsetree
+open Source
 
 (* ---------------- Result types ------------------------------------ *)
 
@@ -93,28 +94,6 @@ type report = {
       (* file, function, satisfied *)
   violations : violation list;
 }
-
-(* ---------------- File collection / parsing ----------------------- *)
-
-let rec collect_ml acc path =
-  if Sys.is_directory path then
-    Array.fold_left
-      (fun acc name ->
-        if name = "_build" || (String.length name > 0 && name.[0] = '.') then
-          acc
-        else collect_ml acc (Filename.concat path name))
-      acc (Sys.readdir path)
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
-
-let parse_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lb = Lexing.from_channel ic in
-      Lexing.set_filename lb file;
-      Parse.implementation lb)
 
 (* ---------------- Attributes -------------------------------------- *)
 
@@ -171,25 +150,6 @@ type unit_t = {
   mutable u_scope : (string * int) list; (* visible name -> unit index *)
   mutable u_children : (string * int) list; (* own locals *)
 }
-
-(* Strip the fun/newtype prelude off a binding's expression. *)
-let rec strip_params acc e =
-  match e.pexp_desc with
-  | Pexp_fun (lbl, _, pat, body) ->
-      let var =
-        match pat.ppat_desc with
-        | Ppat_var { txt; _ } -> txt
-        | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> txt
-        | _ -> "_"
-      in
-      let lbl =
-        match lbl with
-        | Asttypes.Nolabel -> None
-        | Asttypes.Labelled l | Asttypes.Optional l -> Some l
-      in
-      strip_params ((lbl, var) :: acc) body
-  | Pexp_newtype (_, body) -> strip_params acc body
-  | _ -> (List.rev acc, e)
 
 let is_function e =
   match e.pexp_desc with
@@ -812,9 +772,6 @@ let references ~skip ~root body =
   in
   it.expr it body;
   (!bare, !dotted)
-
-let module_of_file file =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
 
 (* ---------------- Tarjan SCC (callees-first output) ---------------- *)
 

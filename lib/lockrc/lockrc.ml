@@ -21,7 +21,7 @@ module Park = Atomics.Park
 module Value = Shmem.Value
 module Layout = Shmem.Layout
 module Arena = Shmem.Arena
-module Freestore = Shmem.Freestore
+module Pool = Shmem.Pool
 
 type t = {
   cfg : Mm_intf.config;
@@ -30,8 +30,7 @@ type t = {
   ctr : C.t;
   lock : P.cell;
   park : Park.t; (* parking spot for lock waiters (Native only) *)
-  free_head : P.cell;
-  store : Freestore.t option; (* sharded Native free store (else legacy) *)
+  pool : Pool.t;
   dead : Mm_intf.Dead.t; (* tids declared permanently stopped *)
 }
 
@@ -51,32 +50,20 @@ let create (cfg : Mm_intf.config) =
       ~num_roots:cfg.num_roots ()
   in
   for h = 1 to cfg.capacity do
-    let p = Value.of_handle h in
-    Arena.write_mm_next arena p
-      (if h < cfg.capacity then Value.of_handle (h + 1) else Value.null);
-    Arena.write arena (Arena.mm_ref_addr arena p) 1
+    Arena.write arena (Arena.mm_ref_addr arena (Value.of_handle h)) 1
   done;
   let ctr = C.create ~backend ~threads:cfg.threads () in
-  let store =
-    if Mm_intf.sharded cfg then
-      Some
-        (Freestore.create ~backend ~arena ~counters:ctr
-           ~shards:cfg.shards ~batch:cfg.batch ~threads:cfg.threads ())
-    else None
-  in
   {
     cfg;
     backend;
     arena;
     ctr;
-    (* every thread spins on the lock word; keep it and the free head
-       on separate padded lines so the spin does not slow the holder *)
+    (* every thread spins on the lock word; keep it and the pool's
+       head on separate padded lines so the spin does not slow the
+       holder *)
     lock = B.make_contended backend 0;
     park = Park.create ();
-    free_head =
-      B.make_contended backend
-        (if store = None then Value.of_handle 1 else Value.null);
-    store;
+    pool = Mm_intf.pool cfg ~arena ~counters:ctr;
     dead = Mm_intf.Dead.create cfg.threads;
   }
 
@@ -122,6 +109,11 @@ let exit_op _t ~tid:_ = ()
 (* All bodies below run under the lock, so plain sequential reasoning
    applies; the arena operations are atomic anyway. *)
 
+let pool_push t ~tid node =
+  Mm_intf.Events.emit ~tid node Mm_intf.Events.Free;
+  C.incr t.ctr ~tid Free;
+  Pool.free t.pool ~tid node
+
 let reclaim t ~tid node0 =
   let nl = Layout.num_links (Arena.layout t.arena) in
   let rec drop node =
@@ -135,13 +127,7 @@ let reclaim t ~tid node0 =
         if not (Value.is_null v) then held := Value.unmark v :: !held
       done;
       C.incr t.ctr ~tid Node_reclaimed;
-      Mm_intf.Events.emit ~tid node Mm_intf.Events.Free;
-      C.incr t.ctr ~tid Free;
-      (match t.store with
-      | Some fs -> Freestore.free fs ~tid node
-      | None ->
-          Arena.write_mm_next t.arena node (B.read t.backend t.free_head);
-          B.write t.backend t.free_head node);
+      pool_push t ~tid node;
       List.iter drop !held
     end
   in
@@ -153,44 +139,16 @@ let release t ~tid p =
     with_lock t ~tid (fun () -> reclaim t ~tid (Value.unmark p))
   end
 
+(* Every pool operation runs under the one lock, so a pass is
+   conclusive: nobody can free concurrently, and there is nothing to
+   park for. *)
 let alloc t ~tid =
   C.incr t.ctr ~tid Alloc;
   with_lock t ~tid (fun () ->
-      match t.store with
-      | Some fs -> begin
-          (* Every store operation runs under the one lock, so one
-             full pass is conclusive: nobody can free concurrently.
-             One more pass is owed after adopting declared-dead peers'
-             caches; failing that, typed backpressure. *)
-          let claim () =
-            match Freestore.alloc fs ~tid with
-            | Some node ->
-                Arena.write t.arena (Arena.mm_ref_addr t.arena node) 2;
-                Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
-                Some node
-            | None -> None
-          in
-          match claim () with
-          | Some node -> node
-          | None ->
-              if Freestore.adopt fs ~tid ~dead:(dead t) > 0 then
-                match claim () with
-                | Some node -> node
-                | None ->
-                    C.incr t.ctr ~tid Oom_backpressure;
-                    raise (Mm_intf.Out_of_nodes { retries = 2; waits = 0 })
-              else begin
-                C.incr t.ctr ~tid Oom_backpressure;
-                raise (Mm_intf.Out_of_nodes { retries = 1; waits = 0 })
-              end
-        end
-      | None ->
-          let node = B.read t.backend t.free_head in
-          if Value.is_null node then raise Mm_intf.Out_of_memory;
-          B.write t.backend t.free_head (Arena.read_mm_next t.arena node);
-          Arena.write t.arena (Arena.mm_ref_addr t.arena node) 2;
-          Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
-          node)
+      let node = Pool.claim t.pool ~tid ~dead:t.dead in
+      Arena.write t.arena (Arena.mm_ref_addr t.arena node) 2;
+      Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
+      node)
 
 let deref t ~tid link =
   C.incr t.ctr ~tid Deref;
@@ -227,29 +185,15 @@ let store_link t ~tid link p =
       if not (Value.is_null old) then reclaim t ~tid (Value.unmark old))
 let terminate _t ~tid:_ _p = ()
 
-(* The one quiescent walk, read by the auditor, [validate] and
-   [free_count]. A crashed thread may have died holding the lock; that
+(* The one quiescent walk, read by the auditor and [validate]. A
+   crashed thread may have died holding the lock; that
    is a liveness disaster for survivors but not custody of any node,
    so it surfaces as a violation string only. *)
 let custody t =
-  let cap = t.cfg.capacity in
-  let free = Array.make (cap + 1) false in
   let violations = ref [] in
   let violation s = violations := s :: !violations in
   if B.read t.backend t.lock <> 0 then violation "lock held at quiescence";
-  let record =
-    Mm_intf.mark_free free ~violation
-      ~twice:(Printf.sprintf "node #%d on the free-list twice")
-  in
-  (match t.store with
-  | Some fs ->
-      (* Stripe chains, return buffers and caches are all [free]
-         custody for the auditor's partition. *)
-      Freestore.iter_free fs ~violation ~f:(fun p -> ignore (record p))
-  | None ->
-      Arena.iter_chain t.arena ~head:(B.read t.backend t.free_head)
-        ~violation:(fun () -> violation "cycle in free-list")
-        ~f:record);
+  let free = Pool.walk t.pool ~violation in
   Mm_intf.
     {
       free;
@@ -257,8 +201,6 @@ let custody t =
       pinned = [];
       violations = List.rev !violations;
     }
-
-let free_count t = Mm_intf.count_free (custody t)
 
 (* Crash recovery. Finish the free a crashed holder never completed:
    clear the links (dropping their targets' shares through [reclaim]),
@@ -273,13 +215,7 @@ let revive t ~tid node =
       done;
       Arena.write t.arena (Arena.mm_ref_addr t.arena node) 1;
       C.incr t.ctr ~tid Node_reclaimed;
-      Mm_intf.Events.emit ~tid node Mm_intf.Events.Free;
-      C.incr t.ctr ~tid Free;
-      match t.store with
-      | Some fs -> Freestore.free fs ~tid node
-      | None ->
-          Arena.write_mm_next t.arena node (B.read t.backend t.free_head);
-          B.write t.backend t.free_head node)
+      pool_push t ~tid node)
 
 let recover t ~tid =
   if not (Mm_intf.Dead.any t.dead) then Mm_intf.no_recovery
@@ -304,11 +240,7 @@ let recover t ~tid =
           C.incr t.ctr ~tid Recovery_adopt;
           revive t ~tid p)
     in
-    let cached =
-      match t.store with
-      | Some fs -> Freestore.adopt fs ~tid ~dead:(dead t)
-      | None -> 0
-    in
+    let cached = Pool.adopt t.pool ~tid ~dead:t.dead in
     { Mm_intf.adopted = revived + cached; released = drops; cleared = !cleared }
   end
 

@@ -17,16 +17,19 @@
    managers ignore marks and operate on the underlying node. *)
 
 exception Out_of_memory
-(* Raised by [alloc] when the single free-list is exhausted (paper
-   fn. 4); the sharded store raises [Out_of_nodes] instead. *)
+(* Never raised: every scheme signals exhaustion with {!Out_of_nodes}.
+   Kept only because [benchmark/workloads.ml], which is edited only by
+   benchmark changes, still names it in three handlers; it goes with
+   the next one. *)
 
-exception Out_of_nodes of { retries : int; waits : int }
-(* Typed backpressure from the bounded-wait allocation path: the free
-   store stayed empty through [retries] scan rounds and [waits]
-   timed-out parks, a recovery attempt for declared-dead holders was
-   made, and the caller should back off / shed load rather than block.
-   Distinct from {!Out_of_memory}, which is the Sim/legacy hard
-   exhaustion signal with unchanged semantics. *)
+exception Out_of_nodes = Shmem.Pool.Out_of_nodes
+(* The one exhaustion signal (the paper's footnote 4), raised by
+   [alloc] once the scheme's bounded budget is spent: [retries] empty
+   passes over the free store and [waits] timed parks found no node,
+   and an attempt to adopt declared-dead holders' caches came up
+   empty. The caller owns the back-off: release something, shed load
+   or retry. Declared by the free pool the comparison schemes share
+   and re-exported here. *)
 
 type config = {
   threads : int;      (* fixed number of participating threads (N) *)
@@ -67,9 +70,15 @@ let config ?(num_links = 0) ?(num_data = 0) ?(num_roots = 0)
 
 (* Whether a config opts into the sharded free store (stripes +
    domain-local caches). [shards = 1, batch = 1] — the default — keeps
-   every manager on its legacy free-list code path. *)
+   every manager on its single free-list. *)
 let sharded cfg =
   cfg.backend = Atomics.Backend.Native && (cfg.shards > 1 || cfg.batch > 1)
+
+(* The free pool a comparison scheme draws from, chosen by [cfg]. *)
+let pool cfg ~arena ~counters =
+  Shmem.Pool.create ~backend:cfg.backend ~arena ~counters
+    ~threads:cfg.threads ~sharded:(sharded cfg) ~shards:cfg.shards
+    ~batch:cfg.batch
 
 (* Node lifecycle events. Every manager reports the three custody
    transitions the reclamation-safety oracle (Analysis.Reclaim) needs:
@@ -112,12 +121,12 @@ end
 
 (* Fault-tolerant accounting snapshot: the one quiescent walk of a
    scheme's allocator state. The post-run auditor (Harness.Audit)
-   reads it, and so do [validate] (through [check_custody]) and
-   [free_count] (through [count_free]). The [custody] accessor itself
-   must never raise — structural damage is reported in [violations] —
-   so it can be taken after a run in which threads crashed or were
-   abandoned mid-operation and left announcements, hazard slots or
-   half-pushed free-list nodes behind. *)
+   reads it, and so do [validate] (through [check_custody]) and the
+   instance-level [free_count] (through [count_free]). The [custody]
+   accessor itself must never raise — structural damage is reported
+   in [violations] — so it can be taken after a run in which threads
+   crashed or were abandoned mid-operation and left announcements,
+   hazard slots or half-pushed free-list nodes behind. *)
 type custody = {
   free : bool array;
       (* indexed by node handle 1..capacity (slot 0 unused): the node
@@ -135,21 +144,6 @@ type custody = {
       (* structural damage found while walking (cycles, double
          custody); empty on a healthy snapshot *)
 }
-
-(* A custody walk's step: mark [p] in [free] and answer [true]; a
-   node already marked is reported as [twice h] through [violation]
-   and answers [false], which stops an [Arena.iter_chain] walk at the
-   revisit. *)
-let mark_free free ~violation ~twice p =
-  let h = Shmem.Value.handle p in
-  if free.(h) then begin
-    violation (twice h);
-    false
-  end
-  else begin
-    free.(h) <- true;
-    true
-  end
 
 (* Nodes in allocator custody: free, or parked under a thread. *)
 let count_free c =
@@ -428,15 +422,10 @@ module type S = sig
 
   val alloc : t -> tid:int -> Shmem.Value.ptr
   (** The paper's [AllocNode]: a fresh node holding one reference owned
-      by the caller. When no node can be found it raises one of two
-      exceptions, chosen by the free store the config selects:
-      - {!Out_of_memory} on the single free-list ([Sim], or [Native]
-        with [shards = 1, batch = 1]) once the scheme's bounded retry
-        budget is spent (the paper's footnote 4);
-      - {!Out_of_nodes} on the sharded [Native] store ({!sharded}),
-        once its bounded retry/park rounds and an attempt to adopt
-        declared-dead threads' caches came up empty — typed
-        backpressure the caller may back off on and retry. *)
+      by the caller. When the scheme's bounded retry budget is spent
+      (the paper's footnote 4) and an attempt to adopt declared-dead
+      threads' caches found nothing, it raises {!Out_of_nodes}, on
+      every free store. *)
 
   val deref : t -> tid:int -> Shmem.Value.addr -> int
   (** The paper's [DeRefLink]: read link and acquire a guaranteed-safe
@@ -489,18 +478,12 @@ module type S = sig
       quiescence residue (announcements, hazard slots, epoch
       brackets). *)
 
-  val free_count : t -> int
-  (** Quiescent count of nodes in allocator custody —
-      {!count_free} over {!custody}: free, or parked under a thread
-      (annAlloc donations, retired lists, limbo bags). For
-      conservation tests. *)
-
   val custody : t -> custody
   (** Quiescent custody snapshot: the scheme's one walk of its
-      allocator state, read by the auditor, {!validate} and
-      {!free_count}. Never raises, even when crashed threads left the
-      scheme's metadata non-quiescent (live announcements, published
-      hazards, a held lock). *)
+      allocator state, read by the auditor, {!validate} and the
+      instance-level [free_count]. Never raises, even when crashed
+      threads left the scheme's metadata non-quiescent (live
+      announcements, published hazards, a held lock). *)
 
   val declare_dead : t -> tid:int -> unit
   (** Declare thread [tid] permanently dead: it will never run another
@@ -566,6 +549,11 @@ let dead (module I : INSTANCE) = I.M.dead I.it
 let recover (module I : INSTANCE) ~tid = I.M.recover I.it ~tid
 let make_immortal (module I : INSTANCE) ~tid p = I.M.make_immortal I.it ~tid p
 let validate (module I : INSTANCE) = I.M.validate I.it
-let free_count (module I : INSTANCE) = I.M.free_count I.it
 let custody (module I : INSTANCE) = I.M.custody I.it
+
+(* Quiescent count of nodes in allocator custody: free, or parked
+   under a thread (annAlloc donations, retired lists, limbo bags). For
+   conservation tests. *)
+let free_count mm = count_free (custody mm)
+
 let refcounted (module I : INSTANCE) = I.M.refcounted

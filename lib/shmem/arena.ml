@@ -272,6 +272,17 @@ let iter_chain t ~head ~violation ~f =
   in
   walk head 0
 
+let mark_free free ~violation ~twice p =
+  let h = Value.handle p in
+  if free.(h) then begin
+    violation (twice h);
+    false
+  end
+  else begin
+    free.(h) <- true;
+    true
+  end
+
 let dump_node ppf t p =
   let h = Value.handle p in
   Fmt.pf ppf "node #%d: ref=%d next=%a" h (read_mm_ref t p) Value.pp_ptr

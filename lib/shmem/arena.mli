@@ -133,4 +133,12 @@ val iter_chain :
     quiescent checks only. This is the one [mm_next] chain walk every
     free store's quiescent inspection goes through. *)
 
+val mark_free :
+  bool array -> violation:(string -> unit) -> twice:(int -> string) ->
+  Value.ptr -> bool
+(** A free-store walk's step, for {!iter_chain}'s [f]: mark [p] in
+    the handle-indexed [free] array and answer [true]; a node already
+    marked is reported as [twice h] through [violation] and answers
+    [false], which stops the walk at the revisit. *)
+
 val dump_node : Format.formatter -> t -> Value.ptr -> unit

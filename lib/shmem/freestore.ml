@@ -2,9 +2,9 @@
 
 (* Sharded free store for the [Native] backend.
 
-   The managers' legacy free-lists funnel every allocation and free
-   through one stamped Treiber head — a single global hot word that
-   stops scaling past a couple of domains. Following Blelloch & Wei
+   A single free list ([Pool]'s unsharded store) funnels every
+   allocation and free through one stamped Treiber head — a single
+   global hot word that stops scaling past a couple of domains. Following Blelloch & Wei
    (concurrent fixed-size allocation) and the paper's own 2N-list
    design, this module splits the node range into [shards] contiguous
    stripes, each with its own cache-line-padded stamped head, and puts
@@ -289,9 +289,9 @@ let adopt t ~tid ~dead =
   if not (Atomic.compare_and_set t.adopt_lock 0 1) then 0
   else begin
     let n = ref 0 in
-    List.iter
-      (fun id ->
-        if id >= 0 && id < t.threads && id <> tid then begin
+    Array.iteri
+      (fun id is_dead ->
+        if is_dead && id < t.threads && id <> tid then begin
           let c = t.caches.(id) in
           while c.len > 0 do
             c.len <- c.len - 1;

@@ -43,9 +43,9 @@ val free : t -> tid:int -> Value.ptr -> unit
     cache overflow, [batch] nodes are spilled: home nodes as one
     chain-push, others through their stripe's return buffer. *)
 
-val adopt : t -> tid:int -> dead:int list -> int
-(** Recovery: drain the [dead] threads' private caches back onto the
-    shared stripes, returning the number of nodes recirculated (each
+val adopt : t -> tid:int -> dead:bool array -> int
+(** Recovery: drain the private caches of the threads flagged in
+    [dead] (indexed by tid) back onto the shared stripes, returning the number of nodes recirculated (each
     also counts a [Recovery_adopt] event). Only sound once the owners
     are permanently stopped ({!Mm_intf.declare_dead} contract): the
     caches are unsynchronised. Concurrent adopters are serialised by a

@@ -69,7 +69,7 @@ let run_workload ~backend scheme =
            push (ptr p);
            Mm.release mm ~tid:0 p;
            Mm.terminate mm ~tid:0 p
-         with Mm.Out_of_memory | Mm.Out_of_nodes _ -> push (-1))
+         with Mm.Out_of_nodes _ -> push (-1))
     | 1 -> (
         let p = Mm.deref mm ~tid:0 root in
         push (ptr p);
@@ -89,7 +89,7 @@ let run_workload ~backend scheme =
           if not (Value.is_null old) && not swapped then
             Mm.release mm ~tid:0 old;
           Mm.release mm ~tid:0 b
-        with Mm.Out_of_memory | Mm.Out_of_nodes _ -> push (-1)));
+        with Mm.Out_of_nodes _ -> push (-1)));
     Mm.exit_op mm ~tid:0
   done;
   (* unlink whatever the root still holds, then quiesce *)
@@ -182,7 +182,7 @@ let run_shape_workload ?(shards = 1) ?(batch = 1) ~backend scheme =
           push 1;
           Mm.release mm ~tid:0 p;
           Mm.terminate mm ~tid:0 p
-        with Mm.Out_of_memory | Mm.Out_of_nodes _ -> push (-1))
+        with Mm.Out_of_nodes _ -> push (-1))
     | 1 -> (
         let p = Mm.deref mm ~tid:0 root in
         check_root p;
@@ -204,7 +204,7 @@ let run_shape_workload ?(shards = 1) ?(batch = 1) ~backend scheme =
           if (not (Value.is_null old)) && not swapped then
             Mm.release mm ~tid:0 old;
           Mm.release mm ~tid:0 b
-        with Mm.Out_of_memory | Mm.Out_of_nodes _ -> push (-1)));
+        with Mm.Out_of_nodes _ -> push (-1)));
     Mm.exit_op mm ~tid:0
   done;
   Mm.enter_op mm ~tid:0;

@@ -74,7 +74,7 @@ let contract_tests scheme =
              held := Mm.alloc mm ~tid:0 :: !held
            done;
            Alcotest.fail "expected OOM"
-         with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ());
+         with Mm.Out_of_nodes _ -> ());
         List.iter
           (fun p ->
             Mm.release mm ~tid:0 p;
@@ -94,7 +94,7 @@ let contract_tests scheme =
                  | p ->
                      Mm.release mm ~tid p;
                      Mm.terminate mm ~tid p
-                 | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ());
+                 | exception Mm.Out_of_nodes _ -> ());
                  Mm.exit_op mm ~tid
                done));
         (* post-run quiescent brackets to flush deferred reclamation *)
@@ -298,7 +298,7 @@ let epoch_tests =
                 held := Mm.alloc mm ~tid:0 :: !held;
                 incr pool_free
               done
-            with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ());
+            with Mm.Out_of_nodes _ -> ());
            List.iter
              (fun p ->
                Mm.release mm ~tid:0 p;
@@ -373,7 +373,7 @@ let lockrc_tests =
                for _ = 1 to 2_000 do
                  match Mm.alloc mm ~tid with
                  | p -> Mm.release mm ~tid p
-                 | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ()
+                 | exception Mm.Out_of_nodes _ -> ()
                done));
         assert_all_free mm);
     tc "lockrc: validate detects a held lock" (fun () ->

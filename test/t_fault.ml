@@ -175,7 +175,7 @@ let churn mm ~root ~tid =
       end;
       if not ok then Mm.terminate mm ~tid b;
       Mm.release mm ~tid b
-  | exception (Mm.Out_of_memory | Mm.Out_of_nodes _) -> ());
+  | exception Mm.Out_of_nodes _ -> ());
   Mm.exit_op mm ~tid
 
 (* One E12-shaped scenario: [threads-1] crashes mid-churn while the
@@ -196,7 +196,7 @@ let crash_scenario ?(scheme = "wfrc") ~threads ~capacity ~ops ~at_step ~policy
       (* grab and hold a private reference, then churn until killed *)
       (match Mm.alloc mm ~tid with
       | p -> held := Value.handle p
-      | exception Mm.Out_of_memory -> ());
+      | exception Mm.Out_of_nodes _ -> ());
       while true do
         churn mm ~root ~tid
       done

@@ -122,7 +122,7 @@ let conc_tests scheme =
                  match Sched.Rng.int rng 4 with
                  | 0 -> (
                      try ignore (Hmap.insert m ~tid k tid)
-                     with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ())
+                     with Mm.Out_of_nodes _ -> ())
                  | 1 -> ignore (Hmap.remove m ~tid k)
                  | _ -> ignore (Hmap.mem m ~tid k)
                done));

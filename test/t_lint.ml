@@ -39,6 +39,13 @@ let test_raw_freestore () =
   let vs = Lint.run ~roots:[ fx "fx_raw_freestore.ml" ] in
   check_rules "raw Freestore flagged" [ "raw-primitives" ] vs
 
+(* The managers draw from [Shmem.Pool]; even they may not name the
+   store it wraps. *)
+let test_manager_freestore () =
+  let vs = Lint.run ~roots:[ fx "lfrc/fx_manager_freestore.ml" ] in
+  check_rules "Freestore under lib/lfrc flagged" [ "raw-primitives" ] vs;
+  Alcotest.(check int) "exactly one violation" 1 (List.length vs)
+
 let test_raw_words () =
   let vs = Lint.run ~roots:[ fx "fx_raw_words.ml" ] in
   check_rules "raw Words flagged" [ "raw-primitives" ] vs;
@@ -111,6 +118,8 @@ let suite =
     Alcotest.test_case "fixture: branch leak" `Quick test_branch_leak;
     Alcotest.test_case "fixture: raw Primitives" `Quick test_raw_primitives;
     Alcotest.test_case "fixture: raw Freestore" `Quick test_raw_freestore;
+    Alcotest.test_case "fixture: Freestore in a manager" `Quick
+      test_manager_freestore;
     Alcotest.test_case "fixture: raw Words" `Quick test_raw_words;
     Alcotest.test_case "fixture: dead counter" `Quick test_dead_counter;
     Alcotest.test_case "fixture: borrowing helper" `Quick test_borrowed_helper;

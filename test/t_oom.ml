@@ -1,7 +1,8 @@
 (* The exhaustion path of the paper's footnote 4: when the fixed arena
-   runs dry, AllocNode must detect it and raise — and freeing a single
-   node must make allocation possible again. Every scheme, one thread,
-   so the whole path is deterministic without the engine. *)
+   runs dry, AllocNode must detect it and raise [Out_of_nodes] — the
+   one exhaustion signal of every scheme on every free store — and
+   freeing a single node must make allocation possible again. One
+   thread, so the whole path is deterministic without the engine. *)
 
 open Helpers
 
@@ -20,7 +21,7 @@ let alloc_with_retries mm ~tid =
         Mm.terminate mm ~tid p;
         Mm.release mm ~tid p;
         Mm.exit_op mm ~tid
-    | exception Mm.Out_of_memory ->
+    | exception Mm.Out_of_nodes _ ->
         Mm.exit_op mm ~tid;
         if n = 0 then Alcotest.fail "freed node never became allocatable"
         else go (n - 1)
@@ -34,20 +35,18 @@ let exhaustion_roundtrip scheme =
       let tid = 0 in
       Mm.enter_op mm ~tid;
       let held = ref [] in
-      let oom = ref false in
       (try
          while true do
            held := Mm.alloc mm ~tid :: !held
          done
-       with Mm.Out_of_memory -> oom := true);
-      check_bool "Out_of_memory raised" true !oom;
+       with Mm.Out_of_nodes _ -> ());
       check_int "every node was handed out" cfg.capacity
         (List.length !held);
       check_int "free store empty at exhaustion" 0 (Mm.free_count mm);
       (* still exhausted: a retry without freeing must fail again *)
       (match Mm.alloc mm ~tid with
       | _ -> Alcotest.fail "alloc succeeded on an exhausted arena"
-      | exception Mm.Out_of_memory -> ());
+      | exception Mm.Out_of_nodes _ -> ());
       (* free exactly one node *)
       (match !held with
       | [] -> Alcotest.fail "nothing allocated"
@@ -91,7 +90,7 @@ let exhaustion_in_structure scheme =
       done;
       (match Mm.alloc mm ~tid with
       | _ -> Alcotest.fail "alloc succeeded with every node reachable"
-      | exception Mm.Out_of_memory -> ());
+      | exception Mm.Out_of_nodes _ -> ());
       (* pop one node off the list; its memory must come back *)
       let p = Mm.deref mm ~tid root in
       let next = Mm.deref mm ~tid (Arena.link_addr arena p 0) in
@@ -124,7 +123,7 @@ let dead_holder_backpressure scheme =
            for _ = 1 to capacity + 1 do
              held := Mm.alloc mm ~tid :: !held
            done
-         with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ());
+         with Mm.Out_of_nodes _ -> ());
         !held
       in
       (* the doomed peer takes everything, parks one cache-full back
@@ -139,15 +138,14 @@ let dead_holder_backpressure scheme =
       in
       release_n 8 held1;
       (* the survivor's exhausted alloc must be typed backpressure with
-         bounded retry accounting, not Out_of_memory and not a hang *)
+         bounded retry accounting, not a hang *)
       let held0 = ref [] and seen = ref None in
       (try
          for _ = 1 to capacity + 1 do
            held0 := Mm.alloc mm ~tid:0 :: !held0
          done
-       with
-      | Mm.Out_of_nodes { retries; waits } -> seen := Some (retries, waits)
-      | Mm.Out_of_memory -> Alcotest.fail "untyped Out_of_memory on sharded");
+       with Mm.Out_of_nodes { retries; waits } ->
+         seen := Some (retries, waits));
       (match !seen with
       | Some (retries, waits) ->
           check_bool "bounded retries recorded" true (retries >= 1);
@@ -159,7 +157,7 @@ let dead_holder_backpressure scheme =
       Mm.declare_dead mm ~tid:1;
       (match Mm.alloc mm ~tid:0 with
       | p -> Mm.release mm ~tid:0 p
-      | exception (Mm.Out_of_memory | Mm.Out_of_nodes _) ->
+      | exception Mm.Out_of_nodes _ ->
           Alcotest.fail "adoption did not unblock allocation");
       (* a full recovery pass returns the dead peer's held nodes too *)
       let o = Harness.Recovery.run ~dead:[ 1 ] ~by:0 mm in
@@ -172,11 +170,65 @@ let dead_holder_backpressure scheme =
       check_int "nothing leaked" 0 post.Harness.Audit.leaked;
       match Mm.alloc mm ~tid:0 with
       | p -> Mm.release mm ~tid:0 p
-      | exception (Mm.Out_of_memory | Mm.Out_of_nodes _) ->
+      | exception Mm.Out_of_nodes _ ->
           Alcotest.fail "allocation still blocked after recovery")
 
+(* The one exhaustion signal: every scheme, on the Sim single list,
+   the Native single list and the Native sharded store, raises
+   [Out_of_nodes] once one thread holds the whole arena, and takes
+   every node back. *)
+let stores =
+  [
+    ("sim", fun ~capacity -> small_cfg ~threads:1 ~capacity ~num_roots:1 ());
+    ( "native",
+      fun ~capacity ->
+        Mm.config ~backend:Atomics.Backend.Native ~threads:1 ~capacity
+          ~num_links:1 ~num_data:1 ~num_roots:1 () );
+    ( "native sharded",
+      fun ~capacity ->
+        Mm.config ~backend:Atomics.Backend.Native ~shards:2 ~batch:2
+          ~threads:1 ~capacity ~num_links:1 ~num_data:1 ~num_roots:1 () );
+  ]
+
+let one_signal =
+  tc "every scheme on every store: exhaustion raises Out_of_nodes"
+    (fun () ->
+      (* one thread, so no node is donated to a peer's annAlloc cell,
+         and within hp's per-thread hazard slots, so it can hold every
+         node *)
+      let capacity = 12 and tid = 0 in
+      List.iter
+        (fun (store, cfg) ->
+          List.iter
+            (fun scheme ->
+              let what = scheme ^ " on " ^ store in
+              let mm = mm_of scheme (cfg ~capacity) in
+              Mm.enter_op mm ~tid;
+              let held = ref [] in
+              (match
+                 for _ = 1 to capacity + 1 do
+                   held := Mm.alloc mm ~tid :: !held
+                 done
+               with
+              | () -> Alcotest.failf "%s: no Out_of_nodes" what
+              | exception Mm.Out_of_nodes _ -> ());
+              check_int (what ^ ": whole arena held") capacity
+                (List.length !held);
+              List.iter
+                (fun p ->
+                  Mm.terminate mm ~tid p;
+                  Mm.release mm ~tid p)
+                !held;
+              Mm.exit_op mm ~tid;
+              check_int (what ^ ": every node back") capacity
+                (Mm.free_count mm);
+              Mm.validate mm)
+            all_schemes)
+        stores)
+
 let suite =
-  List.concat_map
+  one_signal
+  :: List.concat_map
     (fun s -> [ exhaustion_roundtrip s; exhaustion_in_structure s ])
     all_schemes
   @ List.map dead_holder_backpressure rc_schemes

@@ -125,7 +125,7 @@ let conc_tests scheme =
                  (match Oset.insert s ~tid 42 tid with
                  | true -> wins.(tid) <- wins.(tid) + 1
                  | false -> ()
-                 | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ());
+                 | exception Mm.Out_of_nodes _ -> ());
                  if Oset.remove s ~tid 42 then
                    removals.(tid) <- removals.(tid) + 1
                done));
@@ -148,7 +148,7 @@ let conc_tests scheme =
                  match Sched.Rng.int rng 3 with
                  | 0 -> (
                      try ignore (Oset.insert s ~tid k tid)
-                     with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ())
+                     with Mm.Out_of_nodes _ -> ())
                  | 1 -> ignore (Oset.remove s ~tid k)
                  | _ -> ignore (Oset.mem s ~tid k)
                done));
@@ -226,7 +226,7 @@ let oom_tests scheme =
         for i = 1 to 10 do
           match Oset.insert s ~tid:0 (10 * i) i with
           | ok -> check_bool "fresh key inserted" true ok
-          | exception (Mm.Out_of_memory | Mm.Out_of_nodes _) -> incr refused
+          | exception Mm.Out_of_nodes _ -> incr refused
         done;
         (* wfrc's own-cell hand-off may hold back a node of its own *)
         check_bool "inserts refused" true (!refused >= 4);

@@ -108,7 +108,7 @@ let conc_tests scheme =
                    try
                      Pq.insert pq ~tid k v;
                      ins.(tid) := (k, v) :: !(ins.(tid))
-                   with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ()
+                   with Mm.Out_of_nodes _ -> ()
                  end
                  else
                    match Pq.delete_min pq ~tid with
@@ -139,7 +139,7 @@ let conc_tests scheme =
                    (* flag before insert: the flag must be visible by
                       the time the key can possibly be dequeued *)
                    inserted.(k) <- true;
-                   try Pq.insert pq ~tid k k with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ()
+                   try Pq.insert pq ~tid k k with Mm.Out_of_nodes _ -> ()
                  end
                  else
                    match Pq.delete_min pq ~tid with
@@ -263,7 +263,7 @@ let dup_key_sim_tests =
                            else Sched.Rng.int rng 1_000_000
                          in
                          try Pq.insert pq ~tid k 0
-                         with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ()
+                         with Mm.Out_of_nodes _ -> ()
                      done));
               ignore (Pq.drain pq ~tid:0);
               check_int

@@ -88,7 +88,7 @@ let conc_tests scheme =
                    try
                      Queue_.enqueue q ~tid v;
                      enq.(tid) := v :: !(enq.(tid))
-                   with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ()
+                   with Mm.Out_of_nodes _ -> ()
                  end
                  else
                    match Queue_.dequeue q ~tid with
@@ -115,7 +115,7 @@ let conc_tests scheme =
                if tid < 2 then
                  for i = 1 to 1_000 do
                    try Queue_.enqueue q ~tid ((tid * 1_000_000) + i)
-                   with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ()
+                   with Mm.Out_of_nodes _ -> ()
                  done
                else begin
                  let n = ref 0 in

@@ -388,7 +388,7 @@ let crash_tests =
                     if not (Shmem.Value.is_null old) then
                       Mm_intf.release mm ~tid old;
                     Mm_intf.release mm ~tid b
-                | exception Mm_intf.Out_of_memory | exception Mm_intf.Out_of_nodes _ -> ()
+                | exception Mm_intf.Out_of_nodes _ -> ()
               done
           in
           ignore

@@ -89,7 +89,7 @@ let conc_tests scheme =
                    try
                      Stack.push s ~tid v;
                      pushed.(tid) := v :: !(pushed.(tid))
-                   with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ()
+                   with Mm.Out_of_nodes _ -> ()
                  end
                  else
                    match Stack.pop s ~tid with
@@ -125,7 +125,7 @@ let conc_tests scheme =
                    (try
                       Stack.push s ~tid i;
                       Atomic.incr produced
-                    with Mm.Out_of_memory | Mm.Out_of_nodes _ -> ());
+                    with Mm.Out_of_nodes _ -> ());
                    ignore (Stack.pop s ~tid)
                  done
                else

@@ -233,7 +233,7 @@ let script_run backend (n, steps) =
         | p ->
             held := !held @ [ p ];
             Printf.sprintf "alloc t%d #%d" tid (Value.handle p)
-        | exception Mm_intf.Out_of_memory ->
+        | exception Mm_intf.Out_of_nodes _ ->
             Printf.sprintf "alloc t%d oom" tid)
     | 1 when !held <> [] ->
         let p = nth a in

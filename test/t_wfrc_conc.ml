@@ -29,7 +29,7 @@ let churn_test ~threads ~rounds ~capacity () =
                if Arena.read_data arena p 0 <> tid + 1 then
                  Atomic.incr conflicts;
                Mm.release mm ~tid p
-           | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> Atomic.incr oom
+           | exception Mm.Out_of_nodes _ -> Atomic.incr oom
          done));
   check_int "no ownership conflicts" 0 (Atomic.get conflicts);
   assert_all_free mm
@@ -72,7 +72,7 @@ let deref_stress ~threads ~rounds () =
                  ignore (Mm.cas_link mm ~tid root ~old ~nw:b);
                  if not (Value.is_null old) then Mm.release mm ~tid old;
                  Mm.release mm ~tid b
-             | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ()
+             | exception Mm.Out_of_nodes _ -> ()
            end
          done));
   check_int "no dead/torn nodes observed" 0 (Atomic.get dead);
@@ -106,7 +106,7 @@ let working_set_test ~threads ~rounds () =
              | p ->
                  held := p :: !held;
                  incr held_n
-             | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ())
+             | exception Mm.Out_of_nodes _ -> ())
            else
              match !held with
              | [] -> ()
@@ -141,7 +141,7 @@ let hot_link_test ~threads ~rounds () =
                  ignore (Mm.cas_link mm ~tid root ~old ~nw:b);
                  if not (Value.is_null old) then Mm.release mm ~tid old;
                  Mm.release mm ~tid b
-             | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ()
+             | exception Mm.Out_of_nodes _ -> ()
            end
            else begin
              let p = Mm.deref mm ~tid root in

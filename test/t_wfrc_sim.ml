@@ -86,7 +86,7 @@ let alloc_churn_mk scheme ~threads ~rounds () =
             failwith
               (Printf.sprintf "double allocation: tid %d saw %d" tid (d - 1));
           Mm.release mm ~tid p
-      | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ()
+      | exception Mm.Out_of_nodes _ -> ()
     done
   in
   let check () =
@@ -148,7 +148,7 @@ let victim_steps ~scheme ~flips ~seed =
             in
             flip ();
             Mm.release mm ~tid b
-        | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ()
+        | exception Mm.Out_of_nodes _ -> ()
       done
   in
   let policy = Sched.Policy.biased ~seed ~victim:0 ~weight:6 in
@@ -305,7 +305,7 @@ let freelist_tests =
               for _ = 1 to 3 do
                 match Mm.alloc mm ~tid with
                 | p -> Mm.release mm ~tid p
-                | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ()
+                | exception Mm.Out_of_nodes _ -> ()
               done
             in
             let check () =
@@ -326,13 +326,13 @@ let freelist_tests =
             let held = Array.make 3 [] in
             for tid = 0 to 2 do
               held.(tid) <-
-                (try [ Mm.alloc mm ~tid:0 ] with Mm.Out_of_memory | Mm.Out_of_nodes _ -> [])
+                (try [ Mm.alloc mm ~tid:0 ] with Mm.Out_of_nodes _ -> [])
             done;
             let body tid =
               List.iter (fun p -> Mm.release mm ~tid p) held.(tid);
               match Mm.alloc mm ~tid with
               | p -> Mm.release mm ~tid p
-              | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ()
+              | exception Mm.Out_of_nodes _ -> ()
             in
             let check () =
               Mm.validate mm;
@@ -375,7 +375,7 @@ let formula_bound_tests =
                         ignore (Mm.cas_link mm ~tid root ~old ~nw:b);
                         if not (Value.is_null old) then Mm.release mm ~tid old;
                         Mm.release mm ~tid b
-                    | exception Mm.Out_of_memory | exception Mm.Out_of_nodes _ -> ()
+                    | exception Mm.Out_of_nodes _ -> ()
                   done
               in
               let policy =

@@ -21,17 +21,21 @@ let total gc ev = Atomics.Counters.total (Gc.counters gc) ev
 (* The [annAlloc] cells' contents, as (owner tid, handle). *)
 let parked gc = List.sort compare (Gc.custody gc).Mm_intf.pending
 
+(* Nodes in allocator custody, as the instance-level [Mm_intf.free_count]
+   reads them. *)
+let free_count gc = Mm_intf.count_free (Gc.custody gc)
+
 let alloc_tests =
   [
     tc "fresh manager: all nodes free, validates" (fun () ->
         let gc = mk () in
         Gc.validate gc;
-        check_int "free" 16 (Gc.free_count gc));
+        check_int "free" 16 (free_count gc));
     tc "alloc returns one reference (mm_ref=2)" (fun () ->
         let gc = mk () in
         let p = Gc.alloc gc ~tid:0 in
         check_int "mm_ref" 2 (refs gc p);
-        check_int "one fewer free" 15 (Gc.free_count gc);
+        check_int "one fewer free" 15 (free_count gc);
         Gc.validate gc);
     tc "alloc+release is identity on the free set" (fun () ->
         let gc = mk () in
@@ -39,7 +43,7 @@ let alloc_tests =
           let p = Gc.alloc gc ~tid:0 in
           Gc.release gc ~tid:0 p
         done;
-        check_int "free" 16 (Gc.free_count gc);
+        check_int "free" 16 (free_count gc);
         Gc.validate gc);
     tc "distinct nodes until exhaustion; no double-hand-out" (fun () ->
         let gc = mk ~threads:1 ~capacity:8 () in
@@ -54,11 +58,11 @@ let alloc_tests =
              got := p :: !got
            done;
            Alcotest.fail "expected OOM"
-         with Mm_intf.Out_of_memory | Mm_intf.Out_of_nodes _ -> ());
+         with Mm_intf.Out_of_nodes _ -> ());
         (* single thread: no annAlloc parking possible, all 8 handed out *)
         check_int "all handed out" 8 (List.length !got);
         List.iter (fun p -> Gc.release gc ~tid:0 p) !got;
-        check_int "all recovered" 8 (Gc.free_count gc);
+        check_int "all recovered" 8 (free_count gc);
         Gc.validate gc);
     tc "OOM is repeatable and non-destructive" (fun () ->
         let gc = mk ~threads:1 ~capacity:2 () in
@@ -116,7 +120,7 @@ let deref_tests =
         Gc.release gc ~tid:0 a;
         Arena.write arena root Value.null;
         Gc.release gc ~tid:0 a;
-        check_int "reclaimed" 16 (Gc.free_count gc);
+        check_int "reclaimed" 16 (free_count gc);
         Gc.validate gc);
     tc "deref returns marked words as stored" (fun () ->
         let gc = mk () in
@@ -183,7 +187,7 @@ let deref_tests =
         Ann.busy_decr ann ~id:1 ~slot:0;
         Arena.write arena root Value.null;
         Gc.release gc ~tid:0 a;
-        check_int "reclaimed" 16 (Gc.free_count gc);
+        check_int "reclaimed" 16 (free_count gc);
         Gc.validate gc);
   ]
 
@@ -201,9 +205,9 @@ let release_tests =
         Arena.write_link arena b 0 (Gc.fix_ref gc c 2);
         Gc.release gc ~tid:0 b;
         Gc.release gc ~tid:0 c;
-        check_int "only a held by us" 5 (Gc.free_count gc);
+        check_int "only a held by us" 5 (free_count gc);
         Gc.release gc ~tid:0 a;
-        check_int "cascade reclaimed all" 8 (Gc.free_count gc);
+        check_int "cascade reclaimed all" 8 (free_count gc);
         Gc.validate gc);
     tc "cascade handles long chains without stack overflow" (fun () ->
         (* threads:1 so no node can be parked as a donation to another
@@ -219,9 +223,9 @@ let release_tests =
           Gc.release gc ~tid:0 x;
           prev := x
         done;
-        check_int "all allocated" 0 (Gc.free_count gc);
+        check_int "all allocated" 0 (free_count gc);
         Gc.release gc ~tid:0 first;
-        check_int "all reclaimed" n (Gc.free_count gc);
+        check_int "all reclaimed" n (free_count gc);
         Gc.validate gc);
     tc "release on a multiply-referenced node defers reclamation"
       (fun () ->
@@ -231,9 +235,9 @@ let release_tests =
         ignore (Gc.fix_ref gc p 2);
         Gc.release gc ~tid:0 p;
         Gc.release gc ~tid:0 p;
-        check_int "still allocated" 15 (Gc.free_count gc);
+        check_int "still allocated" 15 (free_count gc);
         Gc.release gc ~tid:0 p;
-        check_int "now reclaimed" 16 (Gc.free_count gc);
+        check_int "now reclaimed" 16 (free_count gc);
         Gc.validate gc);
     tc "reclaimed node's link slots are cleared" (fun () ->
         let gc = mk ~capacity:4 () in
@@ -420,7 +424,7 @@ let own_cell_tests backend =
         check_int "no A4 hit" 0 (total gc Alloc_helped);
         check_int "no A12 donation" 0 (total gc Alloc_gave_help);
         check_int "no park" 0 (total gc Free_gave_help);
-        check_int "recovered" 8 (Gc.free_count gc);
+        check_int "recovered" 8 (free_count gc);
         Gc.validate gc);
   ]
 
@@ -467,7 +471,7 @@ let ablation_tests =
         check_int "all distinct" 8
           (List.length (List.sort_uniq compare ps));
         List.iter (fun p -> Gc.release gc ~tid:0 p) ps;
-        check_int "recovered" 8 (Gc.free_count gc);
+        check_int "recovered" 8 (free_count gc);
         Gc.validate gc);
   ]
 
@@ -483,7 +487,7 @@ let prop_tests =
             match op with
             | 0 -> (
                 try held := Gc.alloc gc ~tid:0 :: !held
-                with Mm_intf.Out_of_memory | Mm_intf.Out_of_nodes _ -> ())
+                with Mm_intf.Out_of_nodes _ -> ())
             | _ -> (
                 match !held with
                 | [] -> ()
@@ -493,7 +497,7 @@ let prop_tests =
           script;
         List.iter (fun p -> Gc.release gc ~tid:0 p) !held;
         Gc.validate gc;
-        Gc.free_count gc = 8);
+        free_count gc = 8);
     qc ~count:50 "random link graphs are fully reclaimed"
       QCheck.(list (pair (int_range 0 7) (int_range 0 7)))
       (fun edges ->
@@ -514,7 +518,7 @@ let prop_tests =
           edges;
         Array.iter (fun p -> Gc.release gc ~tid:0 p) nodes;
         Gc.validate gc;
-        Gc.free_count gc = 8);
+        free_count gc = 8);
   ]
 
 let suite =
