@@ -120,6 +120,7 @@ let deref_setup backend (n, tid, index, busy, slots, link, target, mark, rc) =
 
 let gc_words gc =
   let arena = Gc.arena gc in
+  let nl = Shmem.Layout.num_links (Arena.layout arena) in
   ann_words (Gc.announcements gc)
   @ List.init (Arena.num_roots arena) (fun r ->
         (Printf.sprintf "root[%d]" r, Arena.read arena (Arena.root_addr arena r)))
@@ -127,12 +128,11 @@ let gc_words gc =
       (List.init (Arena.capacity arena) (fun i ->
            let p = Value.of_handle (i + 1) in
            let field f v = (Printf.sprintf "node%d.%s" (i + 1) f, v) in
-           [
-             field "mm_ref" (Arena.read_mm_ref arena p);
-             field "mm_next" (Arena.read_mm_next arena p);
-             field "link0" (Arena.read_link arena p 0);
-             field "data0" (Arena.read_data arena p 0);
-           ]))
+           field "mm_ref" (Arena.read_mm_ref arena p)
+           :: field "mm_next" (Arena.read_mm_next arena p)
+           :: field "data0" (Arena.read_data arena p 0)
+           :: List.init nl (fun l ->
+                  field (Printf.sprintf "link%d" l) (Arena.read_link arena p l))))
 
 let deref_run backend case =
   let gc, tid, link = deref_setup backend case in
@@ -188,34 +188,60 @@ let scan_prop =
       (if hs = hn then [] else [ Printf.sprintf "row: sim %d, native %d" hs hn ])
       @ diff_words ws wn)
 
-(* ---- AllocNode A4 and FreeNode's hand-off: [Words.take_fix] and
-   [Words.free_park] against their Sim arms ------------------------- *)
+(* ---- AllocNode A4, FreeNode's hand-off and ReleaseRef's cascade:
+   [Words.take_fix], [Words.free_park] and [Words.release_collect]
+   through [Wfrc] scripts ------------------------------------------ *)
 
 (* A client script step: (op, tid, a, b). Op 0 allocates, op 1
    releases held reference [a], op 2 stores held reference [b] (or
-   null) into link [a] — a root or link 0 of a held node. Every
+   null) into link [a] — a root or any link of a held node. Every
    release that reclaims a node parks it in the freeing thread's own
    [annAlloc] cell when that is empty ([free_park]), and A10 successes
    donate to a peer's empty cell; the next alloc of the cell's owner
-   takes it back ([take_fix]). Indices are taken modulo what is held,
-   so every script is a legal sequential client. *)
+   takes it back ([take_fix]). A release that drops the last reference
+   to a node whose links hold the last references to others reclaims
+   the whole tree in one call, through [release_collect] and the R3
+   work stack. Indices are taken modulo what is held, so every script
+   is a legal sequential client. The case is (threads - 1, links per
+   node - 1, steps). *)
 let script_case =
   QCheck.(
-    pair (int_range 0 2)
+    triple (int_range 0 2) (int_range 0 2)
       (list_of_size
-         Gen.(int_range 1 40)
-         (quad (int_range 0 2) (int_range 0 2) (int_range 0 7) (int_range 0 7))))
+         Gen.(int_range 1 60)
+         (quad (int_range 0 2) (int_range 0 2) (int_range 0 15)
+            (int_range 0 15))))
 
-let script_cap = 6
+let script_cap = 16
 
-(* Runs the script on a fresh manager and returns, per step, what the
-   step did and every arena word plus the [annAlloc] custody after
-   it. *)
-let script_run backend (n, steps) =
-  let n = n + 1 in
+(* Whether [target]'s links reach [node]: storing [target] into one of
+   [node]'s links would close a cycle, which no release reclaims. *)
+let reaches arena ~nl target node =
+  let seen = Array.make (Arena.capacity arena + 1) false in
+  let rec go p =
+    (not (Value.is_null p))
+    &&
+    let p = Value.unmark p in
+    Value.handle p = Value.handle node
+    || ((not seen.(Value.handle p))
+       && begin
+            seen.(Value.handle p) <- true;
+            List.exists (fun l -> go (Arena.read_link arena p l))
+              (List.init nl Fun.id)
+          end)
+  in
+  go target
+
+(* Runs the script on a fresh manager, then drains it (every root
+   stored null, every held reference released). Returns, per step, what
+   the step did and every arena word plus the [annAlloc] custody after
+   it, and what the drain left: the script never closes a cycle, so it
+   must leave every node free and [validate] passing. *)
+let script_run backend (n, nl, steps) =
+  let n = n + 1 and nl = nl + 1 in
   let t =
     Wfrc.create
-      (Mm_intf.config ~backend ~threads:n ~capacity:script_cap ~num_links:1
+      (Mm_intf.config ~backend ~threads:n ~capacity:script_cap ~num_links:nl
          ~num_data:1 ~num_roots ())
   in
   let arena = Gc.arena t in
@@ -241,31 +267,50 @@ let script_run backend (n, steps) =
         Wfrc.release t ~tid p;
         Printf.sprintf "release t%d #%d" tid (Value.handle p)
     | 2 ->
-        let k = a mod (num_roots + List.length !held) in
-        let link =
-          if k < num_roots then Arena.root_addr arena k
-          else Arena.link_addr arena (List.nth !held (k - num_roots)) 0
+        let k = a mod (num_roots + (nl * List.length !held)) in
+        let link, owner =
+          if k < num_roots then (Arena.root_addr arena k, None)
+          else
+            let p = List.nth !held ((k - num_roots) / nl) in
+            (Arena.link_addr arena p ((k - num_roots) mod nl), Some p)
         in
         let v = if !held = [] || b = 0 then Value.null else nth b in
+        let v =
+          match owner with
+          | Some p when reaches arena ~nl v p -> Value.null
+          | _ -> v
+        in
         Wfrc.store_link t ~tid link v;
         Printf.sprintf "store t%d %d <- #%d" tid k
           (if Value.is_null v then 0 else Value.handle v)
     | _ -> "skip"
   in
-  List.map
-    (fun st ->
-      let did = step st in
-      let c = Gc.custody t in
-      let pending =
-        List.map
-          (fun (tid, h) -> (Printf.sprintf "annAlloc[%d]" tid, h))
-          (List.sort compare c.Mm_intf.pending)
-      in
-      (did, gc_words t @ pending))
-    steps
+  let drain () =
+    for r = 0 to num_roots - 1 do
+      Wfrc.store_link t ~tid:0 (Arena.root_addr arena r) Value.null
+    done;
+    List.iter (Wfrc.release t ~tid:0) !held;
+    held := [];
+    "drain"
+  in
+  let words did =
+    let pending =
+      List.map
+        (fun (tid, h) -> (Printf.sprintf "annAlloc[%d]" tid, h))
+        (List.sort compare (Gc.custody t).Mm_intf.pending)
+    in
+    (did, gc_words t @ pending)
+  in
+  let trace = List.map (fun st -> words (step st)) steps in
+  let trace = trace @ [ words (drain ()) ] in
+  let free = Mm_intf.count_free (Gc.custody t) in
+  let valid = match Gc.validate t with () -> "" | exception Failure m -> m in
+  (trace, free, valid)
 
 let alloc_free_prop =
-  prop "take_fix and free_park = their Sim arms over alloc/release scripts"
+  prop
+    "take_fix and free_park = their Sim arms over alloc/release/store_link \
+     scripts, release cascades included"
     script_case (fun case ->
       let rec first i = function
         | (ds, ws) :: s, (dn, wn) :: n -> (
@@ -281,7 +326,81 @@ let alloc_free_prop =
             | d -> Printf.sprintf "step %d (%s)" i ds :: d)
         | _ -> []
       in
-      first 0 (script_run B.Sim case, script_run B.Native case))
+      let drained arm (_, free, valid) =
+        (if free = script_cap then []
+         else
+           [ Printf.sprintf "%s: %d of %d nodes free after the drain" arm free
+               script_cap ])
+        @ if valid = "" then [] else [ Printf.sprintf "%s: %s" arm valid ]
+      in
+      let ((ts, _, _) as sim) = script_run B.Sim case in
+      let ((tn, _, _) as native) = script_run B.Native case in
+      match first 0 (ts, tn) with
+      | [] -> drained "sim" sim @ drained "native" native
+      | d -> d)
+
+(* ---- A cascade that outgrows the R3 work stack -------------------- *)
+
+(* A caterpillar of [spine] nodes, each holding two leaves in links 0
+   and 1 and the next spine node in link 2, reachable from one held
+   reference. Releasing it pops a spine node and pushes its three
+   links; the last link, the next spine node, is popped first, so the
+   leaves pile up two per spine node and the stack passes the 64
+   entries each thread's stack starts with. *)
+let spine = 40
+
+let caterpillar_run backend =
+  let t =
+    Wfrc.create
+      (Mm_intf.config ~backend ~threads:1 ~capacity:(3 * spine) ~num_links:3
+         ~num_data:1 ~num_roots ())
+  in
+  let arena = Gc.arena t in
+  let hang p l q =
+    Wfrc.store_link t ~tid:0 (Arena.link_addr arena p l) q;
+    Wfrc.release t ~tid:0 q
+  in
+  let rec build k below =
+    let p = Wfrc.alloc t ~tid:0 in
+    hang p 0 (Wfrc.alloc t ~tid:0);
+    hang p 1 (Wfrc.alloc t ~tid:0);
+    if not (Value.is_null below) then hang p 2 below;
+    if k = 1 then p else build (k - 1) p
+  in
+  let top = build spine Value.null in
+  (* The work stack's high-water mark, replayed over the arena words:
+     R3 pushes a reclaimed node's non-null links in link order. *)
+  let rec depth stack hi =
+    match stack with
+    | [] -> hi
+    | p :: rest ->
+        let links =
+          List.filter_map
+            (fun l ->
+              let q = Arena.read_link arena p l in
+              if Value.is_null q then None else Some (Value.unmark q))
+            [ 0; 1; 2 ]
+        in
+        let stack = List.rev_append links rest in
+        depth stack (max hi (List.length stack))
+  in
+  let deepest = depth [ top ] 1 in
+  Wfrc.release t ~tid:0 top;
+  let words = gc_words t in
+  let free = Mm_intf.count_free (Gc.custody t) in
+  Gc.validate t;
+  (deepest, free, words)
+
+let test_deep_cascade () =
+  let ds, fs, ws = caterpillar_run B.Sim in
+  let dn, fn, wn = caterpillar_run B.Native in
+  check_bool
+    (Printf.sprintf "the cascade reaches %d work-stack entries (> 64)" ds)
+    true (ds > 64 && ds = dn);
+  check_int "sim: every node free" (3 * spine) fs;
+  check_int "native: every node free" (3 * spine) fn;
+  Alcotest.(check (list string)) "sim = native, word for word" []
+    (diff_words ws wn)
 
 (* ---- ReleaseRef R1–R3: [Words.release_collect] against the Sim arm - *)
 
@@ -466,4 +585,13 @@ let take_prop =
       @ diff_words ws wn @ stray)
 
 let suite =
-  [ deref_prop; scan_prop; alloc_free_prop; collect_prop; clear_prop; take_prop ]
+  [
+    deref_prop;
+    scan_prop;
+    alloc_free_prop;
+    ("a release cascade deeper than the R3 work stack's 64 entries, sim = native",
+     `Quick, test_deep_cascade);
+    collect_prop;
+    clear_prop;
+    take_prop;
+  ]
