@@ -1,18 +1,18 @@
 (* Actor/mailbox runtime over the WFRC structures — the "millions of
    users" service scenario. Every actor owns a Michael–Scott queue as
-   its MPSC mailbox, the actor registry is the lock-free hash map, and
-   a skiplist timer wheel (RC schemes only) drives timeouts — all
-   drawing nodes from ONE memory manager, so spawn/send/receive/retire
-   exercise the paper's scheme as the service's real allocator.
+   its MPSC mailbox and a skiplist timer wheel (RC schemes only) drives
+   timeouts — both drawing nodes from ONE memory manager, so
+   spawn/send/receive/retire exercise the paper's scheme as the
+   service's real allocator.
 
    Slot protocol. The service owns [max_actors] slots; slot [s] claims
    arena root cells 2s (mailbox head) and 2s+1 (mailbox tail). An
    actor id encodes its slot and a generation: id = slot +
    max_actors * gen, so a recycled slot never resurrects an old id.
-   Send and receive derive the slot from the id and need nothing
-   else: the slot's state word names the one id live there. The
-   registry is the spawn/retire directory and the sizing probe; no
-   message path reads it. Each slot carries two service-level atomics:
+   Send, receive and retire derive the slot from the id and need
+   nothing else: the slot's state word names the one id live there, so
+   the service keeps no id directory. Each slot carries two
+   service-level atomics:
 
      state    0 = free | id+1 = live | -(id+1) = closing
      inflight  number of threads inside the send/receive guard window
@@ -40,7 +40,6 @@
 
 module Mm = Mm_intf
 module Q = Structures.Queue
-module Hmap = Structures.Hmap
 
 (* Each thread's entry in a counter array sits [pad] words (128 bytes,
    a cache line and its prefetch partner) from the next thread's, as
@@ -77,7 +76,6 @@ type t = {
   mm : Mm.instance;
   threads : int;
   max_actors : int;
-  registry : Hmap.t;
   wheel : Timer.t option;
   state : int Atomic.t array;
   inflight : int Atomic.t array;
@@ -88,34 +86,25 @@ type t = {
 }
 
 (* Layout helper: root cells 0 .. 2*max_actors-1 are the mailbox
-   head/tail pairs, then one anchor per registry bucket, then one for
-   the timer wheel. Three data words and [levels] links satisfy every
-   structure involved (queue: 1 link + 1 data; oset: 1 link + 2 data;
-   skiplist: [levels] links + 3 data). *)
+   head/tail pairs, then one anchor for the timer wheel. Three data
+   words and [levels] links satisfy both structures involved (queue:
+   1 link + 1 data; skiplist: [levels] links + 3 data). [?buckets] is
+   ignored (see service.mli). *)
 let mm_config ?(backend = Atomics.Backend.Native) ?(shards = 1) ?(batch = 1)
-    ?(levels = 4) ~threads ~capacity ~max_actors ~buckets () =
+    ?(levels = 4) ?buckets:(_ : int option) ~threads ~capacity ~max_actors
+    () =
   Mm.config ~backend ~shards ~batch ~threads ~capacity
     ~num_links:(max 1 levels) ~num_data:3
-    ~num_roots:((2 * max_actors) + buckets + 1) ()
+    ~num_roots:((2 * max_actors) + 1) ()
 
-let create mm ~max_actors ~buckets ~seed ~tid =
+let create ?buckets:(_ : int option) mm ~max_actors ~seed ~tid =
   if max_actors < 1 then invalid_arg "Service.create: max_actors < 1";
   let cfg = Mm.conf mm in
   let threads = cfg.Mm.threads in
-  if cfg.Mm.num_roots < (2 * max_actors) + buckets + 1 then
+  if cfg.Mm.num_roots < (2 * max_actors) + 1 then
     invalid_arg
-      "Service.create: layout needs 2*max_actors + buckets + 1 root cells \
-       (use Service.mm_config)";
-  let registry = Hmap.create mm ~buckets ~tid in
-  (* Anchor the registry's immortal bucket sentinels in root cells so
-     root-based audits see registry nodes as reachable. *)
-  let arena = Mm.arena mm in
-  Array.iteri
-    (fun i head ->
-      Mm.store_link mm ~tid
-        (Shmem.Arena.root_addr arena ((2 * max_actors) + i))
-        head)
-    (Hmap.heads registry);
+      "Service.create: layout needs 2*max_actors + 1 root cells (use \
+       Service.mm_config)";
   (* The timer wheel needs reference counting (skiplist); hp/ebr run
      the service without timeouts — the §1 applicability gap at the
      service level. *)
@@ -123,7 +112,7 @@ let create mm ~max_actors ~buckets ~seed ~tid =
     if Mm.refcounted mm then
       Some
         (Timer.create mm
-           ~anchor_root:((2 * max_actors) + buckets)
+           ~anchor_root:(2 * max_actors)
            ~seed ~tid)
     else None
   in
@@ -137,7 +126,6 @@ let create mm ~max_actors ~buckets ~seed ~tid =
     mm;
     threads;
     max_actors;
-    registry;
     wheel;
     state = Array.init max_actors (fun _ -> Atomic.make 0);
     inflight = Array.init max_actors (fun _ -> Atomic.make 0);
@@ -163,7 +151,7 @@ let slot_of t id = id mod t.max_actors
 let bump a tid = a.(tid * pad) <- a.(tid * pad) + 1
 
 (* Spawn: claim a slot from this thread's free list, build the
-   mailbox, register the id, arm the optional ttl timer, then publish
+   mailbox, arm the optional ttl timer, then publish
    via the state atomic (the mailbox write precedes the publication,
    so any sender that passes the guard sees it). Runs out of slots or
    nodes gracefully: [None], with the slot returned on rollback. *)
@@ -186,15 +174,14 @@ let spawn ?deadline t ~tid =
       | exception Mm.Out_of_nodes _ -> rollback ()
       | q -> (
           match
-            (match (deadline, t.wheel) with
+            match (deadline, t.wheel) with
             | Some d, Some w -> Timer.schedule w ~tid ~deadline:d id
-            | _ -> ());
-            Hmap.insert t.registry ~tid id slot
+            | _ -> ()
           with
           | exception Mm.Out_of_nodes _ ->
               ignore (Q.destroy q ~tid);
               rollback ()
-          | _inserted ->
+          | () ->
               t.mailbox.(slot) <- Some q;
               Atomic.set t.state.(slot) (id + 1);
               bump t.c.spawned tid;
@@ -264,7 +251,6 @@ let retire t ~tid id =
   let slot = slot_of t id in
   if id >= 0 && Atomic.compare_and_set t.state.(slot) (id + 1) (-(id + 1))
   then begin
-    ignore (Hmap.remove t.registry ~tid id);
     let rec wait n =
       if Atomic.get t.inflight.(slot) = 0 then begin
         (match t.mailbox.(slot) with
@@ -311,8 +297,9 @@ let live t =
   Array.fold_left (fun a s -> if Atomic.get s > 0 then a + 1 else a) 0 t.state
 
 (* Quiescent teardown: adopt every slot — live, closing or zombie —
-   destroy its mailbox and drain the wheel, leaving only anchored
-   sentinels allocated. Callers then run the auditor on the manager. *)
+   destroy its mailbox and drain the wheel, leaving only the wheel's
+   anchored sentinels allocated. Callers then run the auditor on the
+   manager. *)
 let teardown t ~tid =
   let discarded = ref 0 in
   for slot = 0 to t.max_actors - 1 do
@@ -320,18 +307,11 @@ let teardown t ~tid =
     | Some q -> discarded := !discarded + Q.destroy q ~tid
     | None -> ());
     t.mailbox.(slot) <- None;
-    (match Atomic.get t.state.(slot) with
-    | 0 -> ()
-    | s ->
-        if s > 0 then ignore (Hmap.remove t.registry ~tid (s - 1));
-        Atomic.set t.state.(slot) 0);
+    Atomic.set t.state.(slot) 0;
     Atomic.set t.inflight.(slot) 0
   done;
   (match t.wheel with Some w -> ignore (Timer.drain w ~tid) | None -> ());
-  ignore (Hmap.clear t.registry ~tid);
   !discarded
-
-let probe t ~tid = Hmap.probe t.registry ~tid
 
 let totals t =
   let sum a = Array.fold_left ( + ) 0 a in

@@ -1,15 +1,14 @@
 (** Actor/mailbox runtime over the WFRC structures: each actor owns a
-    {!Structures.Queue} as its MPSC mailbox, the registry is an
-    {!Structures.Hmap} keyed by actor id, and a {!Timer} wheel (RC
-    schemes only) drives timeouts — all drawing nodes from one
+    {!Structures.Queue} as its MPSC mailbox and a {!Timer} wheel (RC
+    schemes only) drives timeouts — both drawing nodes from one
     {!Mm_intf} manager, so spawn/send/receive/retire exercise the
     memory scheme as the service's real allocator.
 
     Ids encode slot + generation (id = slot + max_actors * gen): a
-    recycled slot never resurrects a dead id, so [send]/[receive] go
-    straight to the id's slot and the registry serves only spawn,
-    retire and {!probe}. [send] to a dead id is a counted drop, never
-    a use-after-free — the slot-state/inflight guard protocol (see
+    recycled slot never resurrects a dead id, so every entry point
+    goes straight to the id's slot and the service keeps no id
+    directory. [send] to a dead id is a counted drop, never a
+    use-after-free — the slot-state/inflight guard protocol (see
     service.ml) makes mailbox destruction safe against concurrent
     senders, and parks a slot as a {e zombie} when
     the guard window never clears (e.g. a sender crashed inside it);
@@ -18,7 +17,7 @@
     Thread discipline: [spawn]/[retire]/[receive] may run from any
     thread; each free slot belongs to exactly one thread's list (a
     retired slot migrates to the retiring thread). [create],
-    [teardown], [probe], [live] and [totals] are quiescent. *)
+    [teardown], [live] and [totals] are quiescent. *)
 
 type t
 
@@ -39,39 +38,43 @@ val mm_config :
   ?shards:int ->
   ?batch:int ->
   ?levels:int ->
+  ?buckets:int ->
   threads:int ->
   capacity:int ->
   max_actors:int ->
-  buckets:int ->
   unit ->
   Mm_intf.config
-(** Manager layout for a service of [max_actors] slots and [buckets]
-    registry buckets: [2*max_actors + buckets + 1] root cells (mailbox
-    head/tail pairs, registry anchors, wheel anchor), 3 data words,
-    [levels] links (the timer skiplist's maximum level; default 4).
-    [capacity] must additionally cover 2 sentinels per bucket, 2 for
-    the wheel, 1 sentinel + 1 registry node per live actor, plus
-    in-flight messages and armed timers. *)
+(** Manager layout for a service of [max_actors] slots: [2*max_actors
+    + 1] root cells (mailbox head/tail pairs, then the wheel anchor),
+    3 data words, [levels] links (the timer skiplist's maximum level;
+    default 4). [capacity] must additionally cover 2 sentinels for
+    the wheel, 1 mailbox sentinel per live actor, plus in-flight
+    messages and armed timers.
+
+    [?buckets] is ignored, here and on {!create}. It is kept only
+    because [benchmark/workloads.ml], which is edited only by
+    benchmark changes, still passes it; it goes with the next one. *)
 
 val create :
-  Mm_intf.instance -> max_actors:int -> buckets:int -> seed:int -> tid:int -> t
-(** Builds the registry (anchoring every bucket sentinel in a root
-    cell) and, on reference-counting schemes, the timer wheel; hp/ebr
-    get [wheel t = None] — the paper's §1 applicability gap surfacing
-    at the service level. Raises [Invalid_argument] if the manager's
-    layout lacks the root cells {!mm_config} provisions. *)
+  ?buckets:int -> Mm_intf.instance -> max_actors:int -> seed:int -> tid:int -> t
+(** Builds the timer wheel on reference-counting schemes, anchored in
+    root cell [2*max_actors]; hp/ebr get [wheel t = None] — the
+    paper's §1 applicability gap surfacing at the service level.
+    Raises [Invalid_argument] if the manager's layout lacks the root
+    cells {!mm_config} provisions. *)
 
 val spawn : ?deadline:int -> t -> tid:int -> int option
-(** Claim a slot from this thread's free list, build the mailbox and
-    register a fresh id. [?deadline] (from {!Timer.deadline}) arms a
-    retire-at timer when the scheme has a wheel; it is silently
-    ignored otherwise. [None] when out of slots or nodes. *)
+(** Claim a slot from this thread's free list, build the mailbox (its
+    one sentinel node) and stamp a fresh id. [?deadline] (from
+    {!Timer.deadline}) arms a retire-at timer when the scheme has a
+    wheel; it is silently ignored otherwise. [None] when out of slots
+    or nodes. *)
 
 val send : t -> tid:int -> dst:int -> int -> bool
 (** Guarded enqueue into the slot [dst] names; the slot's state word
-    decides whether [dst] is live, with no registry lookup. [false] —
-    counted in {!totals}.send_drop — when [dst] is dead, recycled,
-    below 0, or the allocator is exhausted. *)
+    decides whether [dst] is live. [false] — counted in
+    {!totals}.send_drop — when [dst] is dead, recycled, below 0, or
+    the allocator is exhausted. *)
 
 val receive : t -> tid:int -> self:int -> int option
 (** Guarded dequeue from [self]'s mailbox ([None] when empty, dead
@@ -79,7 +82,7 @@ val receive : t -> tid:int -> self:int -> int option
     one actor are safe but break FIFO delivery order per sender. *)
 
 val retire : t -> tid:int -> int -> bool
-(** Kill an actor: unregister, wait (bounded) for in-flight
+(** Kill an actor: close its slot, wait (bounded) for in-flight
     senders, destroy the mailbox (discarding undelivered messages) and
     recycle the slot onto this thread's free list. [false] if already
     dead or below 0. A guard window that never clears parks the slot
@@ -97,17 +100,11 @@ val wheel : t -> Timer.t option
 val live : t -> int
 (** Slots currently live (quiescent snapshot). *)
 
-val probe : t -> tid:int -> Structures.Hmap.probe
-(** Registry health: entries, longest bucket chain, load factor
-    (quiescent). Surfaces silent degradation of the fixed-size
-    registry — see the sizing note in hmap.mli. *)
-
 val teardown : t -> tid:int -> int
 (** Quiescent teardown: destroy every mailbox (live, closing or
-    zombie), drain the wheel and clear the registry, leaving only the
-    anchored sentinels allocated. Returns the number of undelivered
-    messages discarded. Run the custody auditor on the manager
-    afterwards. *)
+    zombie) and drain the wheel, leaving only the wheel's anchored
+    sentinels allocated. Returns the number of undelivered messages
+    discarded. Run the custody auditor on the manager afterwards. *)
 
 val totals : t -> totals
 (** Summed per-thread counters (quiescent). *)

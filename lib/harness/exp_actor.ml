@@ -1,9 +1,9 @@
 (* E18: the million-mailbox actor service — the ROADMAP's end-to-end
    "millions of users" scenario. Every actor owns a Michael–Scott
-   queue as its MPSC mailbox, the registry is the lock-free hash map,
-   and the skiplist timer wheel drives ttl retirement — all drawing
-   nodes from ONE manager, so the service's spawn/send/receive/retire
-   churn IS the memory-scheme workload (Actor.Service).
+   queue as its MPSC mailbox and the skiplist timer wheel drives ttl
+   retirement — both drawing nodes from ONE manager, so the service's
+   spawn/send/receive/retire churn IS the memory-scheme workload
+   (Actor.Service).
 
    Four legs share one report:
 
@@ -22,7 +22,7 @@
      million  full runs only: >= 1M actors on the native backend,
               send/receive traffic, wave retirement driven through
               the Pqueue timer wheel (one cohort timer per wave, not
-              one per actor), registry-degradation probe, audit.
+              one per actor), audit.
 
    Send targets come from a published-id table indexed by slot: a
    sender reads the latest published id for a random slot and fires;
@@ -60,16 +60,10 @@ module Bag = struct
     end
 end
 
-let pow2_ceil n =
-  let rec go p = if p >= n then p else go (2 * p) in
-  go 1
-
-(* Capacity for a service of [actors] slots and [buckets] registry
-   buckets: bucket + wheel sentinels, one mailbox sentinel and one
-   registry node per live actor, plus headroom for in-flight messages
-   and armed timers. *)
-let svc_capacity ~actors ~buckets ~headroom =
-  (2 * buckets) + 2 + (2 * actors) + headroom
+(* Capacity for a service of [actors] slots: the wheel's two
+   sentinels, one mailbox sentinel per live actor, plus headroom for
+   in-flight messages and armed timers. *)
+let svc_capacity ~actors ~headroom = 2 + actors + headroom
 
 (* One mixed-traffic worker: 6% spawn (a quarter with a ttl, including
    the occasional max_int timeout that must saturate, not die), 6%
@@ -151,17 +145,14 @@ let audit_cell ok = Report.Str (if ok then "ok" else "FAIL")
 (* ------------------------------------------------------------------ *)
 
 let service_leg spine ~scheme ~threads ~actors ~ops ~seed =
-  let buckets = pow2_ceil (max 64 (actors / 8)) in
-  let capacity =
-    svc_capacity ~actors ~buckets ~headroom:(max 4_096 (ops / 8))
-  in
+  let capacity = svc_capacity ~actors ~headroom:(max 4_096 (ops / 8)) in
   let cfg =
     Service.mm_config ~backend:B.Native ~threads ~capacity ~max_actors:actors
-      ~buckets ()
+      ()
   in
   let mm = Registry.instantiate scheme cfg in
   Spine.wrap spine mm @@ fun () ->
-  let svc = Service.create mm ~max_actors:actors ~buckets ~seed ~tid:0 in
+  let svc = Service.create mm ~max_actors:actors ~seed ~tid:0 in
   let published = Array.init actors (fun _ -> Atomic.make (-1)) in
   let ids_by_slot = Array.make actors (-1) in
   let prespawn = max 1 (actors * 3 / 5) in
@@ -179,7 +170,6 @@ let service_leg spine ~scheme ~threads ~actors ~ops ~seed =
   (* Flush per-thread residue (epoch advances) before the audit — the
      workers are gone. *)
   drain_survivors mm ~survivors:(List.init threads Fun.id);
-  let probe = Service.probe svc ~tid:0 in
   let t = Service.totals svc in
   let discarded = Service.teardown svc ~tid:0 in
   let audit = Audit.run mm in
@@ -194,8 +184,6 @@ let service_leg spine ~scheme ~threads ~actors ~ops ~seed =
     Report.Ops (Runner.throughput ~ops result);
     Report.Ns (Metrics.Hist.percentile h 0.50);
     Report.Ns (Metrics.Hist.percentile h 0.99);
-    Report.Int probe.Structures.Hmap.max_chain;
-    Report.Float probe.Structures.Hmap.load;
     Report.Int t.Service.zombied;
     Report.Int (t.Service.send_drop + t.Service.spawn_fail);
     Report.Int (discarded + t.Service.discarded);
@@ -211,10 +199,7 @@ let service_leg spine ~scheme ~threads ~actors ~ops ~seed =
 
 let chaos_leg spine ~scheme ~seeds ~threads ~actors ~ops ~seed:_ =
   let victim = threads - 1 in
-  let buckets = pow2_ceil (max 32 (actors / 8)) in
-  let capacity =
-    svc_capacity ~actors ~buckets ~headroom:(max 2_048 (ops / 8))
-  in
+  let capacity = svc_capacity ~actors ~headroom:(max 2_048 (ops / 8)) in
   let runs = ref 0
   and skipped = ref 0
   and held_pre = ref 0
@@ -226,19 +211,17 @@ let chaos_leg spine ~scheme ~seeds ~threads ~actors ~ops ~seed:_ =
   and discarded = ref 0
   and audited = ref 0
   and audits_ok = ref 0
-  and msgs = ref 0.
-  and chain = ref 0
-  and load = ref 0. in
+  and msgs = ref 0. in
   for s = 0 to seeds - 1 do
     incr runs;
     let cfg =
       Service.mm_config ~backend:B.Native ~threads ~capacity
-        ~max_actors:actors ~buckets ()
+        ~max_actors:actors ()
     in
     let mm = Registry.instantiate scheme cfg in
     Spine.wrap spine mm @@ fun () ->
     let svc =
-      Service.create mm ~max_actors:actors ~buckets ~seed:(71_000 + s) ~tid:0
+      Service.create mm ~max_actors:actors ~seed:(71_000 + s) ~tid:0
     in
     let published = Array.init actors (fun _ -> Atomic.make (-1)) in
     let ids_by_slot = Array.make actors (-1) in
@@ -260,9 +243,6 @@ let chaos_leg spine ~scheme ~seeds ~threads ~actors ~ops ~seed:_ =
             ~max_actors:actors ~clock:Runner.now_ns ())
     in
     msgs := max !msgs (Runner.throughput ~ops result);
-    let probe = Service.probe svc ~tid:0 in
-    chain := max !chain probe.Structures.Hmap.max_chain;
-    load := max !load probe.Structures.Hmap.load;
     match Chaos.crashed chaos with
     | [] -> incr skipped
     | dead ->
@@ -296,8 +276,6 @@ let chaos_leg spine ~scheme ~seeds ~threads ~actors ~ops ~seed:_ =
     Report.Ops !msgs;
     Report.Ns 0;
     Report.Ns 0;
-    Report.Int !chain;
-    Report.Float !load;
     Report.Int !zombied;
     Report.Int !drops;
     Report.Int !discarded;
@@ -318,8 +296,7 @@ let chaos_leg spine ~scheme ~seeds ~threads ~actors ~ops ~seed:_ =
 let sim_leg spine ~scheme ~seeds ~seed =
   let threads = 3 and actors = 12 and ops = 50 in
   let victim = threads - 1 in
-  let buckets = 16 in
-  let capacity = svc_capacity ~actors ~buckets ~headroom:256 in
+  let capacity = svc_capacity ~actors ~headroom:256 in
   let runs = ref 0
   and skipped = ref 0
   and held_pre = ref 0
@@ -333,13 +310,11 @@ let sim_leg spine ~scheme ~seeds ~seed =
     incr runs;
     let cfg =
       Service.mm_config ~backend:B.Sim ~threads ~capacity ~max_actors:actors
-        ~buckets ()
+        ()
     in
     let mm = Registry.instantiate scheme cfg in
     Spine.wrap spine mm @@ fun () ->
-    let svc =
-      Service.create mm ~max_actors:actors ~buckets ~seed:(seed + s) ~tid:0
-    in
+    let svc = Service.create mm ~max_actors:actors ~seed:(seed + s) ~tid:0 in
     let published = Array.init actors (fun _ -> Atomic.make (-1)) in
     let vclock = ref 0 in
     let clock () =
@@ -398,8 +373,6 @@ let sim_leg spine ~scheme ~seeds ~seed =
     Report.Ops 0.;
     Report.Ns 0;
     Report.Ns 0;
-    Report.Int 0;
-    Report.Float 0.;
     Report.Int !zombied;
     Report.Int !drops;
     Report.Int 0;
@@ -419,15 +392,14 @@ let sim_leg spine ~scheme ~seeds ~seed =
 (* ------------------------------------------------------------------ *)
 
 let million_leg spine ~scheme ~threads ~actors ~traffic_ops ~waves ~seed =
-  let buckets = 1 lsl 17 in
-  let capacity = svc_capacity ~actors ~buckets ~headroom:(1 lsl 19) in
+  let capacity = svc_capacity ~actors ~headroom:(1 lsl 19) in
   let cfg =
     Service.mm_config ~backend:B.Native ~shards:4 ~batch:32 ~threads
-      ~capacity ~max_actors:actors ~buckets ()
+      ~capacity ~max_actors:actors ()
   in
   let mm = Registry.instantiate scheme cfg in
   Spine.wrap spine mm @@ fun () ->
-  let svc = Service.create mm ~max_actors:actors ~buckets ~seed ~tid:0 in
+  let svc = Service.create mm ~max_actors:actors ~seed ~tid:0 in
   let published = Array.init actors (fun _ -> Atomic.make (-1)) in
   let ids_by_slot = Array.make actors (-1) in
   let spawn_res =
@@ -465,7 +437,6 @@ let million_leg spine ~scheme ~threads ~actors ~traffic_ops ~waves ~seed =
             done
         done)
   in
-  let probe = Service.probe svc ~tid:0 in
   (* Retirement driven by the wheel: pop each due wave, retire its
      cohort. *)
   let t0 = Runner.now_ns () in
@@ -507,8 +478,6 @@ let million_leg spine ~scheme ~threads ~actors ~traffic_ops ~waves ~seed =
     Report.Ops (Runner.throughput ~ops:traffic_ops result);
     Report.Ns (Metrics.Hist.percentile h 0.50);
     Report.Ns (Metrics.Hist.percentile h 0.99);
-    Report.Int probe.Structures.Hmap.max_chain;
-    Report.Float probe.Structures.Hmap.load;
     Report.Int t.Service.zombied;
     Report.Int (t.Service.send_drop + t.Service.spawn_fail);
     Report.Int (discarded + t.Service.discarded);
@@ -567,8 +536,6 @@ let e18 ?(schemes = Registry.names) ?(threads_list = [ 2; 4 ])
         Report.measure ~unit_:"ops/s" "traffic/s";
         Report.measure ~unit_:"ns" "send p50";
         Report.measure ~unit_:"ns" "send p99";
-        Report.measure ~unit_:"nodes" "chain(max)";
-        Report.measure "load";
         Report.measure ~unit_:"slots" "zombied";
         Report.measure ~unit_:"msgs" "drops";
         Report.measure ~unit_:"msgs" "discarded";
@@ -597,10 +564,6 @@ let e18 ?(schemes = Registry.names) ?(threads_list = [ 2; 4 ])
         "service leg: traffic/s counts mixed ops (6% spawn, 6% retire, 2% \
          tick, 48% send, 38% receive-drain); send p50/p99 are per-op \
          latencies; teardown must audit clean (leaked = 0)";
-        "chain(max)/load: the registry-degradation probe (Hmap.probe) — \
-         the bucket count is fixed at create, so a chain far above the \
-         load factor means hash clumping and load far above ~4 means the \
-         map was undersized (see hmap.mli)";
         "drops: sends to already-retired ids (counted, never \
          use-after-free) plus allocator-exhausted sends/spawns; \
          discarded: undelivered messages destroyed with their mailbox";

@@ -173,14 +173,13 @@ val e18 :
   unit ->
   Report.t
 (** Actor service: {!Actor.Service} mailbox runtime (queue mailboxes,
-    Hmap registry, Pqueue timer wheel, one manager) under mixed
+    Pqueue timer wheel, one manager) under mixed
     spawn/send/receive/retire traffic. Legs: Native scheme × threads
-    sweep with send-latency percentiles and a registry-degradation
-    probe; {!Chaos} crash-mid-send plus {!Recovery} (zero leaks
-    within the bounded-loss envelope); a deterministic Sim miniature
-    with virtual-time ttl timers; and a full-run-only million-actor
-    leg ([million_schemes] empty disables it) with wave retirement
-    through the timer wheel. *)
+    sweep with send-latency percentiles; {!Chaos} crash-mid-send plus
+    {!Recovery} (zero leaks within the bounded-loss envelope); a
+    deterministic Sim miniature with virtual-time ttl timers; and a
+    full-run-only million-actor leg ([million_schemes] empty disables
+    it) with wave retirement through the timer wheel. *)
 
 val a1 : ?threads_list:int list -> ?seeds:int -> ?seed:int -> unit -> Report.t
 (** Ablation: deref step bound vs thread count (O(N) scans). *)

@@ -223,6 +223,36 @@ end
 
 let no_recovery = { adopted = 0; released = 0; cleared = 0 }
 
+(* The recovery-side reachability mark shared by [Rc_anomaly] and
+   [Orphan]: every non-free node reachable from a root cell through
+   its links. [on_root] sees each root's value right after its
+   subtree is marked, so a caller's per-root bookkeeping adds no read.
+   [Harness.Audit] keeps its own walk on purpose: it is the oracle
+   that judges recovery, and a bug shared with this one would blind
+   both. *)
+let reachable ?(on_root = ignore) ~arena ~is_free () =
+  let module Value = Shmem.Value in
+  let module Arena = Shmem.Arena in
+  let cap = Arena.capacity arena in
+  let num_links = Shmem.Layout.num_links (Arena.layout arena) in
+  let reach = Array.make (cap + 1) false in
+  let rec visit h =
+    if h >= 1 && h <= cap && (not (is_free h)) && not reach.(h) then begin
+      reach.(h) <- true;
+      let p = Value.of_handle h in
+      for i = 0 to num_links - 1 do
+        let v = Arena.read_link arena p i in
+        if not (Value.is_null v) then visit (Value.handle (Value.unmark v))
+      done
+    end
+  in
+  for r = 0 to Arena.num_roots arena - 1 do
+    let v = Arena.read arena (Arena.root_addr arena r) in
+    if not (Value.is_null v) then visit (Value.handle (Value.unmark v));
+    on_root v
+  done;
+  reach
+
 (* Shared recovery analysis for the reference-counting schemes
    (wfrc/lfrc/lockrc). At quiescence, with the survivors drained and
    the dead threads' published metadata already cleared, every
@@ -263,17 +293,6 @@ module Rc_anomaly = struct
     let num_links = Shmem.Layout.num_links (Arena.layout arena) in
     let is_free h = h >= 1 && h <= cap && free.(h) in
     let skip h = is_free h || is_pending h in
-    let reach = Array.make (cap + 1) false in
-    let rec visit h =
-      if h >= 1 && h <= cap && (not (is_free h)) && not reach.(h) then begin
-        reach.(h) <- true;
-        let p = Value.of_handle h in
-        for i = 0 to num_links - 1 do
-          let v = Arena.read_link arena p i in
-          if not (Value.is_null v) then visit (Value.handle (Value.unmark v))
-        done
-      end
-    in
     let inbound = Array.make (cap + 1) 0 in
     let count v =
       if not (Value.is_null v) then begin
@@ -281,11 +300,7 @@ module Rc_anomaly = struct
         if h >= 1 && h <= cap then inbound.(h) <- inbound.(h) + 2
       end
     in
-    for r = 0 to Arena.num_roots arena - 1 do
-      let v = Arena.read arena (Arena.root_addr arena r) in
-      if not (Value.is_null v) then visit (Value.handle (Value.unmark v));
-      count v
-    done;
+    let reach = reachable ~on_root:count ~arena ~is_free () in
     for h = 1 to cap do
       if not (skip h) then
         let p = Value.of_handle h in
@@ -360,23 +375,8 @@ module Orphan = struct
 
   let sweep ~arena ~free ~keep ~reclaim =
     let cap = Arena.capacity arena in
-    let num_links = Shmem.Layout.num_links (Arena.layout arena) in
     let is_free h = h >= 1 && h <= cap && free.(h) in
-    let reach = Array.make (cap + 1) false in
-    let rec visit h =
-      if h >= 1 && h <= cap && (not (is_free h)) && not reach.(h) then begin
-        reach.(h) <- true;
-        let p = Value.of_handle h in
-        for i = 0 to num_links - 1 do
-          let v = Arena.read_link arena p i in
-          if not (Value.is_null v) then visit (Value.handle (Value.unmark v))
-        done
-      end
-    in
-    for r = 0 to Arena.num_roots arena - 1 do
-      let v = Arena.read arena (Arena.root_addr arena r) in
-      if not (Value.is_null v) then visit (Value.handle (Value.unmark v))
-    done;
+    let reach = reachable ~arena ~is_free () in
     let n = ref 0 in
     for h = 1 to cap do
       if (not (is_free h)) && (not reach.(h)) && not (keep h) then begin

@@ -32,27 +32,6 @@ let num_buckets t = t.mask + 1
 
 let heads t = Array.map Oset.head t.buckets
 
-(* Quiescent health probe: total entries, longest bucket chain and
-   load factor. A chain much longer than the load factor means the
-   hash is clumping; a load factor much above ~4 means the map was
-   created with too few buckets for its population (the bucket count
-   is fixed at [create]). *)
-type probe = { entries : int; max_chain : int; load : float }
-
-let probe t ~tid =
-  let entries = ref 0 and max_chain = ref 0 in
-  Array.iter
-    (fun b ->
-      let n = Oset.size b ~tid in
-      entries := !entries + n;
-      if n > !max_chain then max_chain := n)
-    t.buckets;
-  {
-    entries = !entries;
-    max_chain = !max_chain;
-    load = float_of_int !entries /. float_of_int (t.mask + 1);
-  }
-
 (* Fibonacci hashing spreads consecutive keys across buckets. *)
 let bucket t k =
   let h = k * 0x2545F4914F6CDD1D in

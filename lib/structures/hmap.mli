@@ -9,10 +9,9 @@
     expected {e peak} population: keep the load factor ([n / buckets])
     below ~4 for O(1)-ish operations, and remember each bucket costs
     two sentinel nodes up front (so [buckets] also trades arena
-    capacity against chain length). A million-entry registry wants
-    2{^15}–2{^18} buckets, not the low hundreds. {!probe} reports the
-    realised load factor and worst chain so services can surface
-    degradation instead of silently crawling. *)
+    capacity against chain length). A million-entry map wants
+    2{^15}–2{^18} buckets, not the low hundreds; {!size} over
+    {!num_buckets} is the realised load factor. *)
 
 type t
 
@@ -25,12 +24,6 @@ val heads : t -> Shmem.Value.ptr array
 (** The immortal head sentinel of every bucket, in bucket order. As
     with {!Oset.head}: anchor these in arena root cells if root-based
     audits must see the map's nodes as reachable. *)
-
-type probe = { entries : int; max_chain : int; load : float }
-
-val probe : t -> tid:int -> probe
-(** Quiescent health probe: total entries, longest bucket chain, and
-    load factor (entries per bucket). See the sizing note above. *)
 
 val insert : t -> tid:int -> int -> int -> bool
 val remove : t -> tid:int -> int -> bool

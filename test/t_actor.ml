@@ -1,7 +1,7 @@
 (* The actor/mailbox runtime (lib/actor) and the bugfix sweep that
    rode along with it: MPSC mailbox linearizability across every
    scheme, crash-mid-send custody under the deterministic scheduler,
-   timer-deadline saturation, the registry sizing probe, mailbox
+   timer-deadline saturation, the one-node cost of an actor, mailbox
    teardown idempotency and the per-thread op split. *)
 
 open Helpers
@@ -9,7 +9,6 @@ module B = Atomics.Backend
 module Service = Actor.Service
 module Timer = Actor.Timer
 module Queue = Structures.Queue
-module Hmap = Structures.Hmap
 module Audit = Harness.Audit
 module Recovery = Harness.Recovery
 module Workload = Harness.Workload
@@ -85,15 +84,14 @@ let mailbox_tests =
 let orphan_bound = function "hp" | "ebr" -> 2 | _ -> 0
 
 let crash_mid_send scheme ~seed =
-  let threads = 3 and actors = 8 and buckets = 8 in
+  let threads = 3 and actors = 8 in
   let victim = threads - 1 in
-  let capacity = (2 * buckets) + 2 + (2 * actors) + 128 in
+  let capacity = 2 + actors + 128 in
   let cfg =
-    Service.mm_config ~backend:B.Sim ~threads ~capacity ~max_actors:actors
-      ~buckets ()
+    Service.mm_config ~backend:B.Sim ~threads ~capacity ~max_actors:actors ()
   in
   let mm = mm_of scheme cfg in
-  let svc = Service.create mm ~max_actors:actors ~buckets ~seed ~tid:0 in
+  let svc = Service.create mm ~max_actors:actors ~seed ~tid:0 in
   let published = Array.init actors (fun _ -> Atomic.make (-1)) in
   for _ = 1 to 5 do
     match Service.spawn svc ~tid:0 with
@@ -158,10 +156,10 @@ let send_tests =
   let setup () =
     let cfg =
       Service.mm_config ~backend:B.Sim ~threads:1 ~capacity:64 ~max_actors:2
-        ~buckets:2 ()
+        ()
     in
     let mm = mm_of "wfrc" cfg in
-    (mm, Service.create mm ~max_actors:2 ~buckets:2 ~seed:5 ~tid:0)
+    (mm, Service.create mm ~max_actors:2 ~seed:5 ~tid:0)
   in
   let spawn svc =
     match Service.spawn svc ~tid:0 with
@@ -237,10 +235,10 @@ let timer_tests =
       (fun () ->
         let cfg =
           Service.mm_config ~backend:B.Sim ~threads:1 ~capacity:64
-            ~max_actors:4 ~buckets:4 ()
+            ~max_actors:4 ()
         in
         let mm = mm_of "wfrc" cfg in
-        let svc = Service.create mm ~max_actors:4 ~buckets:4 ~seed:7 ~tid:0 in
+        let svc = Service.create mm ~max_actors:4 ~seed:7 ~tid:0 in
         (match Service.wheel svc with
         | None -> Alcotest.fail "wfrc service must have a wheel"
         | Some w ->
@@ -257,33 +255,46 @@ let timer_tests =
         ignore (Service.teardown svc ~tid:0));
   ]
 
-(* ---------------- Registry sizing probe ----------------------------- *)
+(* ---------------- Node cost of an actor --------------------------- *)
 
-let probe_tests =
+(* An actor holds one node, its mailbox's sentinel: the service keeps
+   no per-actor directory, so k spawns take exactly k nodes from the
+   manager and retiring them all gives every one back. *)
+let cost_tests =
   [
-    tc "probe surfaces the fixed-bucket degradation" (fun () ->
-        let actors = 32 and buckets = 4 in
-        let capacity = (2 * buckets) + 2 + (2 * actors) + 64 in
+    tc "wfrc: an actor costs one node; create checks the root layout"
+      (fun () ->
+        let actors = 8 in
         let cfg =
-          Service.mm_config ~backend:B.Sim ~threads:1 ~capacity
-            ~max_actors:actors ~buckets ()
+          Service.mm_config ~backend:B.Sim ~threads:1 ~capacity:64
+            ~max_actors:actors ()
         in
         let mm = mm_of "wfrc" cfg in
-        let svc =
-          Service.create mm ~max_actors:actors ~buckets ~seed:3 ~tid:0
+        let svc = Service.create mm ~max_actors:actors ~seed:3 ~tid:0 in
+        let base = Mm.free_count mm in
+        let ids =
+          List.init actors (fun k ->
+              match Service.spawn svc ~tid:0 with
+              | Some id ->
+                  check_int
+                    (Printf.sprintf "free after %d spawns" (k + 1))
+                    (base - k - 1) (Mm.free_count mm);
+                  id
+              | None -> Alcotest.fail "spawn failed")
         in
-        let spawned = ref 0 in
-        for _ = 1 to actors do
-          if Service.spawn svc ~tid:0 <> None then incr spawned
-        done;
-        check_bool "spawned enough to overload" true (!spawned >= 16);
-        let p = Service.probe svc ~tid:0 in
-        check_int "entries" !spawned p.Hmap.entries;
-        check_bool "load factor is entries per bucket" true
-          (abs_float (p.Hmap.load -. (float_of_int !spawned /. 4.)) < 0.01);
-        check_bool "pigeonhole: some chain at least n/buckets" true
-          (p.Hmap.max_chain * buckets >= !spawned);
-        ignore (Service.teardown svc ~tid:0));
+        List.iter
+          (fun id -> check_bool "retire" true (Service.retire svc ~tid:0 id))
+          ids;
+        check_int "retire gives every node back" base (Mm.free_count mm);
+        ignore (Service.teardown svc ~tid:0);
+        check_bool "teardown audit clean" true (Audit.ok (Audit.run mm));
+        let short =
+          Mm.config ~backend:B.Sim ~threads:1 ~capacity:64 ~num_links:4
+            ~num_data:3 ~num_roots:(2 * actors) ()
+        in
+        fails_with ~substring:"Invalid_argument" (fun () ->
+            Service.create (mm_of "wfrc" short) ~max_actors:actors ~seed:3
+              ~tid:0));
   ]
 
 (* ---------------- Mailbox teardown idempotency ---------------------- *)
@@ -343,5 +354,5 @@ let split_tests =
   ]
 
 let suite =
-  mailbox_tests @ fault_tests @ send_tests @ timer_tests @ probe_tests @ destroy_tests
-  @ split_tests
+  mailbox_tests @ fault_tests @ send_tests @ timer_tests @ cost_tests
+  @ destroy_tests @ split_tests
