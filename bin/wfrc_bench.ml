@@ -14,14 +14,12 @@
 
 open Cmdliner
 
-let run_experiments ids quick csv format json_dir =
+let run_experiments ids quick sink json_dir =
   let ids =
     match ids with
     | [ "all" ] | [] -> Harness.Experiments.ids
     | ids -> ids
   in
-  (* --csv is the historical spelling of --format=csv. *)
-  let sink = if csv then Harness.Sink.Csv else format in
   try
     List.iter
       (fun id ->
@@ -49,10 +47,6 @@ let quick_arg =
   let doc = "Small parameters (seconds instead of minutes)." in
   Arg.(value & flag & info [ "quick"; "q" ] ~doc)
 
-let csv_arg =
-  let doc = "Emit CSV instead of an aligned table (same as --format=csv)." in
-  Arg.(value & flag & info [ "csv" ] ~doc)
-
 let format_arg =
   let doc =
     Printf.sprintf "Output format, one of %s."
@@ -79,8 +73,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc)
     Term.(
-      const run_experiments $ ids_arg $ quick_arg $ csv_arg $ format_arg
-      $ json_arg)
+      const run_experiments $ ids_arg $ quick_arg $ format_arg $ json_arg)
 
 let list_cmd =
   let doc = "List the experiment index" in

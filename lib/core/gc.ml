@@ -655,7 +655,6 @@ let scratch_blocks t =
 (* ---------------- Crash recovery (quiescent-survivors) ------------- *)
 
 let declare_dead t ~tid = Mm_intf.Dead.declare t.dead ~scheme:"Gc" ~tid
-let dead t = Mm_intf.Dead.to_list t.dead
 
 (* Finish the free a crashed thread never ran: clear the links as R3
    would (releasing their targets), restore the claimed count, and

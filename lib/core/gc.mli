@@ -78,9 +78,6 @@ val declare_dead : t -> tid:int -> unit
     A7 exhaustion path, which adopts dead threads' caches before
     surfacing {!Mm_intf.Out_of_nodes}. *)
 
-val dead : t -> int list
-(** Declared-dead tids, ascending. *)
-
 val recover : t -> tid:int -> Mm_intf.recovery
 (** Quiescent-survivors recovery pass run by survivor [tid]: wipe the
     dead threads' announcement rows (releasing un-retracted helper

@@ -70,7 +70,6 @@ let custody = Gc.custody
 
 (* Crash recovery: dead-slot adoption (quiescent-survivors). *)
 let declare_dead = Gc.declare_dead
-let dead = Gc.dead
 let recover = Gc.recover
 
 (* Sentinels need no special handling under reference counting: the

@@ -86,7 +86,6 @@ let create (cfg : Mm_intf.config) =
   }
 
 let declare_dead t ~tid = Mm_intf.Dead.declare t.dead ~scheme:"Epoch" ~tid
-let dead t = Mm_intf.Dead.to_list t.dead
 
 let pool_push t ~tid node =
   Mm_intf.Events.emit ~tid node Mm_intf.Events.Free;

@@ -392,7 +392,14 @@ let sim_leg spine ~scheme ~seeds ~seed =
 (* ------------------------------------------------------------------ *)
 
 let million_leg spine ~scheme ~threads ~actors ~traffic_ops ~waves ~seed =
-  let capacity = svc_capacity ~actors ~headroom:(1 lsl 19) in
+  (* No actor retires during traffic and most receives find an empty
+     mailbox, so nearly every send holds its node until teardown: the
+     headroom is the expected send count (60% of the traffic), plus
+     1/64 of it for the coin's spread and the domain caches, plus the
+     cohort timers. *)
+  let sends = traffic_ops * 60 / 100 in
+  let headroom = sends + (sends / 64) + waves in
+  let capacity = svc_capacity ~actors ~headroom in
   let cfg =
     Service.mm_config ~backend:B.Native ~shards:4 ~batch:32 ~threads
       ~capacity ~max_actors:actors ()

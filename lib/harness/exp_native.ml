@@ -5,9 +5,8 @@
    per protocol fragment, no per-cell box, no GC card traffic). The
    legacy rows (shards = 1) run the paper's allocator verbatim; the
    sharded rows add the striped free store with domain-local caches.
-   Park_wait / Park_wake count the futex-parked backoff path — zero in
-   a pure churn loop unless a domain actually drains a stripe and
-   blocks, which is itself a signal worth recording.
+   No park/wake columns: wfrc, the default and only scheme CI runs
+   here, never parks, so they would always read 0.
 
    Rows with more domains than the host has cores time-share them, so
    absolute throughput drops there regardless of the memory layer;
@@ -102,8 +101,6 @@ let e15 ?(schemes = [ "wfrc" ]) ?(threads_list = [ 1; 2; 4 ])
                   Report.Int pairs;
                   Report.Ops rate;
                   Report.Int (Spine.total row_spine Alloc_retry);
-                  Report.Int (Spine.total row_spine Park_wait);
-                  Report.Int (Spine.total row_spine Park_wake);
                 ]
                 :: !rows)
             [ false; true ])
@@ -120,8 +117,6 @@ let e15 ?(schemes = [ "wfrc" ]) ?(threads_list = [ 1; 2; 4 ])
         Report.measure ~unit_:"count" "pairs";
         Report.measure ~unit_:"ops/s" "pairs/s";
         Report.measure ~unit_:"count" "aretry";
-        Report.measure ~unit_:"count" "park";
-        Report.measure ~unit_:"count" "wake";
       ]
     ~counters:(Spine.totals spine)
     ~meta:

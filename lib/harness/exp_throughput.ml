@@ -1,6 +1,6 @@
-(* Throughput/space family: E1 (priority-queue throughput, paper §5),
+(* Throughput family: E1 (priority-queue throughput, paper §5) and
    E9 (ordered set on all five schemes — the §1 applicability
-   boundary), E11 (metadata space vs thread count). *)
+   boundary). *)
 
 module Mm = Mm_intf
 module Rng = Sched.Rng
@@ -131,59 +131,6 @@ let e9 ?(schemes = Registry.names) ?(threads_list = [ 1; 2; 4 ])
       ]
     rows
 
-(* ------------------------------------------------------------------ *)
-(* E11: metadata space cost per scheme as the thread count grows.     *)
-(* The paper's wait-freedom is bought with an O(N^2) announcement     *)
-(* pool and 2N free-lists; the baselines are O(N) or O(1). This       *)
-(* table makes the trade explicit (words of scheme metadata,          *)
-(* excluding the arena itself, which is identical for all).           *)
-(* ------------------------------------------------------------------ *)
-
-let e11 ?(threads_list = [ 2; 4; 8; 16; 32; 64 ]) () =
-  (* Word counts by construction (see each scheme's [create]):
-     wfrc : annReadAddr N^2 + annBusy N^2 + annIndex N
-            + freeList 2N + annAlloc N + currentFreeList + helpCurrent
-     lfrc : stamped head = 1
-     hp   : K slots/thread (K = max 16 (2*links+8); links=1 here)
-            + head = K*N + 1  (retired lists are transient)
-     ebr  : global + head + per-thread (active + epoch) = 2N + 2
-     lockrc: lock + head = 2 *)
-  let rows =
-    List.map
-      (fun n ->
-        let k = 16 in
-        [
-          Report.Int n;
-          Report.Int ((2 * n * n) + n + (2 * n) + n + 2);
-          Report.Int 1;
-          Report.Int ((k * n) + 1);
-          Report.Int ((2 * n) + 2);
-          Report.Int 2;
-        ])
-      threads_list
-  in
-  Report.make ~id:"E11" ~title:"scheme metadata (words) vs thread count N"
-    ~cols:
-      [
-        Report.dim "N";
-        Report.measure ~unit_:"words" "wfrc";
-        Report.measure ~unit_:"words" "lfrc";
-        Report.measure ~unit_:"words" "hp(K=16)";
-        Report.measure ~unit_:"words" "ebr";
-        Report.measure ~unit_:"words" "lockrc";
-      ]
-    ~notes:
-      [
-        "wfrc's wait-freedom costs O(N^2) announcement cells (Figure 4) \
-         plus 2N free-lists (Figure 5); at N=64 that is ~8.6k words — \
-         negligible next to any real arena, but the asymptotic trade \
-         is worth stating";
-        "counts derive from each scheme's create(); the arena itself \
-         (capacity x node_size cells) is identical for every scheme \
-         and excluded";
-      ]
-    rows
-
 let specs =
   [
     Exp.spec ~id:"e1" ~descr:"priority-queue throughput per scheme (paper §5)"
@@ -195,8 +142,4 @@ let specs =
       (fun { Exp.quick } ->
         if quick then e9 ~threads_list:[ 1; 2 ] ~ops:6_000 ~capacity:1024 ()
         else e9 ());
-    Exp.spec ~id:"e11"
-      ~descr:"metadata space vs thread count (the O(N^2) pool)"
-      (fun { Exp.quick } ->
-        if quick then e11 ~threads_list:[ 2; 4; 8 ] () else e11 ());
   ]

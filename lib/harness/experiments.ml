@@ -9,8 +9,7 @@ let all : Exp.spec list =
   Exp.sort
     (Exp_throughput.specs @ Exp_contention.specs @ Exp_steps.specs
    @ Exp_lincheck.specs @ Exp_ratio.specs @ Exp_fault.specs
-   @ Exp_shard.specs @ Exp_native.specs @ Exp_analysis.specs
-   @ Exp_actor.specs)
+   @ Exp_shard.specs @ Exp_native.specs @ Exp_actor.specs)
 
 let ids = Exp.ids all
 let specs = all
@@ -23,7 +22,6 @@ let e4 = Exp_steps.e4
 let e7 = Exp_lincheck.e7
 let e8 = Exp_lincheck.e8
 let e9 = Exp_throughput.e9
-let e11 = Exp_throughput.e11
 let e12 = Exp_fault.e12
 let e13 = Exp_fault.e13
 let e14 = Exp_shard.e14
@@ -33,4 +31,3 @@ let e16 = Exp_fault.e16
 let e18 = Exp_actor.e18
 let a1 = Exp_ratio.a1
 let a3 = Exp_ratio.a3
-let a4 = Exp_analysis.a4

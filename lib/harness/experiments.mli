@@ -69,10 +69,6 @@ val e9 :
 (** Ordered-set throughput on {e all} schemes — the applicability
     boundary of §1 in numbers (contrast with E1). *)
 
-val e11 : ?threads_list:int list -> unit -> Report.t
-(** Scheme metadata space (words) vs thread count: the O(N{^2})
-    announcement-pool cost of wait-freedom, made explicit. *)
-
 val e12 :
   ?schemes:string list ->
   ?ops_list:int list ->
@@ -192,17 +188,3 @@ val a3 :
   unit ->
   Report.t
 (** Ablation: allocation helping (A11–A15/F3) on vs off. *)
-
-val a4 :
-  ?schemes:string list ->
-  ?churn_schedules:int ->
-  ?contend_schedules:int ->
-  ?hunt_runs:int ->
-  ?seed:int ->
-  unit ->
-  Report.t
-(** Reclamation-safety detector sweep ({!Analysis.Reclaim} over
-    {!Sched.Explore}): every scheme explored clean over two small
-    contended programs, then three seeded protocol mutations (HP
-    validation skip, double release, dropped release) each caught with
-    a replayable choice trace. *)

@@ -106,7 +106,6 @@ let create (cfg : Mm_intf.config) =
   }
 
 let declare_dead t ~tid = Mm_intf.Dead.declare t.dead ~scheme:"Hazard" ~tid
-let dead t = Mm_intf.Dead.to_list t.dead
 
 let unsafe_skip_validation t = t.validate_deref <- false
 

@@ -44,7 +44,6 @@ let arena t = t.arena
 let counters t = t.ctr
 
 let declare_dead t ~tid = Mm_intf.Dead.declare t.dead ~scheme:"Lfrc" ~tid
-let dead t = Mm_intf.Dead.to_list t.dead
 
 let enter_op _t ~tid:_ = ()
 let exit_op _t ~tid:_ = ()

@@ -68,7 +68,6 @@ let create (cfg : Mm_intf.config) =
   }
 
 let declare_dead t ~tid = Mm_intf.Dead.declare t.dead ~scheme:"Lockrc" ~tid
-let dead t = Mm_intf.Dead.to_list t.dead
 
 (* Release the lock and deliver a wake to any parked waiter. Under
    [Sim] nobody ever parks (the backoff arm is a scheduling point), so

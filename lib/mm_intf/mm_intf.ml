@@ -211,14 +211,6 @@ module Dead = struct
     d.(tid) <- true
 
   let any d = Array.exists Fun.id d
-
-  (* Sorted, as [S.dead] promises. *)
-  let to_list d =
-    let acc = ref [] in
-    for id = Array.length d - 1 downto 0 do
-      if d.(id) then acc := id :: !acc
-    done;
-    !acc
 end
 
 let no_recovery = { adopted = 0; released = 0; cleared = 0 }
@@ -494,9 +486,6 @@ module type S = sig
       stopped — this is a harness/supervisor-level declaration, not
       something the scheme can detect on its own. *)
 
-  val dead : t -> int list
-  (** Sorted tids declared dead so far. *)
-
   val recover : t -> tid:int -> recovery
   (** Adopt the declared-dead threads' state from surviving thread
       [tid]: clear their published metadata (announcement-pool rows,
@@ -545,7 +534,6 @@ let store_link (module I : INSTANCE) ~tid addr p =
 
 let terminate (module I : INSTANCE) ~tid p = I.M.terminate I.it ~tid p
 let declare_dead (module I : INSTANCE) ~tid = I.M.declare_dead I.it ~tid
-let dead (module I : INSTANCE) = I.M.dead I.it
 let recover (module I : INSTANCE) ~tid = I.M.recover I.it ~tid
 let make_immortal (module I : INSTANCE) ~tid p = I.M.make_immortal I.it ~tid p
 let validate (module I : INSTANCE) = I.M.validate I.it
