@@ -33,7 +33,7 @@ val take : t -> int -> int
 
 val raw : t -> Words.t option
 (** The backing {!Words} block ([Native] only) — for fusions spanning
-    two stores (see {!Words.take_fix} and {!Words.free_park}). *)
+    two stores (see {!Words.take_fix} and {!Words.release_park}). *)
 
 val word_of_slot : int -> int
 (** Physical word offset of slot [i] inside {!raw}'s block. *)

@@ -108,14 +108,22 @@ CAMLprim value caml_wfrc_words_swap(value vw, value vi, value vx)
  *
  * Each of these performs a short fixed sequence of atomic operations
  * that the OCaml side would otherwise issue as separate stub calls.
- * The per-word operations and their order are EXACTLY those of the
- * unfused sequence (the Sim arms still execute them individually), so
- * behaviour is identical — only the number of OCaml-to-C crossings
- * changes, which is what dominates the native hot path. One step is
- * conditional in both arms alike: DeRefLink's D2 stores annIndex[tid]
- * only when it differs from the chosen slot (deref_link below; the
- * unfused Ann.set_index makes the same test), so neither arm issues
- * the same-value store. */
+ * The per-word operations and their order are those of the unfused
+ * sequence (the Sim arms still execute them individually), so only
+ * the number of OCaml-to-C crossings changes. One step is conditional
+ * in both arms alike: DeRefLink's D2 stores annIndex[tid] only when it
+ * differs from the chosen slot (deref_link below; the unfused
+ * Ann.set_index makes the same test), so neither arm issues the
+ * same-value store.
+ *
+ * The release stubs differ from their Sim arms in three places, each
+ * dropping an operation the thread would otherwise issue back to back
+ * with its own (release_core below; DESIGN.md section 6.0): R1 tests
+ * the value its FAA returns instead of reloading mm_ref; R2 claims
+ * with CAS(0 -> 3) when the own-cell park will be tried, instead of
+ * CAS(0 -> 1) and a later FAA(+2); R3 stores 0 only into non-null
+ * links. Every one is a legal schedule of the unfused sequence, and
+ * the words each call leaves equal the Sim arm's. */
 
 /* AllocNode line A4's collect: load the annAlloc word; if non-null,
  * take it with an atomic exchange. Returns the taken word or 0. */
@@ -137,33 +145,88 @@ CAMLprim value caml_wfrc_words_read_clear(value vw, value vi)
   return Val_long((intnat)v);
 }
 
-/* ReleaseRef lines R1-R3 whole on one node: FAA(-2) on its mm_ref
- * word, then claim it with CAS(0 -> 1) if the count dropped to zero;
- * if claimed, read-and-clear the node's [nl] contiguous link words,
- * depositing the non-null ones in order into [vout] (an OCaml int
- * array — immediates need no write barrier). Returns the number
- * deposited, or -1 when the node was not claimed. */
+/* ReleaseRef lines R1-R3 on one node, the core of both release stubs
+ * below. R1 FAAs the node's mm_ref by -2 and goes on only if that FAA
+ * took the count from 2 to 0: every transition to 0 is made, and so
+ * seen, by exactly one FAA, so the reload the unfused sequence makes
+ * only adds a racer. R2 claims the node with CAS(0 -> claim), where
+ * claim is 3 when [cellp] is non-null and the cell it points at reads
+ * empty (the claim and the own-cell park's +2 inflation in one CAS;
+ * DESIGN.md section 6.0), and 1 otherwise. R3 then collects the
+ * node's [nl] contiguous link words, depositing the non-null ones in
+ * order into [vout] (an OCaml int array -- immediates need no write
+ * barrier) and storing 0 only into those: a null link already reads
+ * 0, and the node is exclusively owned, so no one sees the store it
+ * skips. Returns the number deposited, with [*park] set when the
+ * claim was 3, or -1 when this release did not claim the node. */
+static intnat release_core(uintnat *refp, uintnat *links, intnat nl,
+                           value vout, uintnat *cellp, int *park)
+{
+  uintnat expected = 0;
+  intnat count = 0, i;
+  if (__atomic_fetch_sub(refp, 2, __ATOMIC_SEQ_CST) != 2)        /* R1 */
+    return -1;
+  *park = cellp != NULL && __atomic_load_n(cellp, __ATOMIC_SEQ_CST) == 0;
+  if (!__atomic_compare_exchange_n(refp, &expected, *park ? 3 : 1, /* R2 */
+                                   0, __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST))
+    return -1;
+  for (i = 0; i < nl; i++) {                                     /* R3 */
+    uintnat v = __atomic_load_n(links + i, __ATOMIC_SEQ_CST);
+    if (v != 0) {
+      __atomic_store_n(links + i, 0, __ATOMIC_SEQ_CST);
+      Field(vout, count++) = Val_long((intnat)v);
+    }
+  }
+  return count;
+}
+
+/* ReleaseRef lines R1-R3 whole on the node whose mm_ref is word vref
+ * and whose links are the [nl] words from vlinks: release_core with
+ * no park, so a claim is CAS(0 -> 1). Returns the number of links
+ * deposited into vout, or -1 when the node was not claimed. */
 CAMLprim value caml_wfrc_words_release_collect(value vw, value vref,
                                                value vlinks, value vnl,
                                                value vout)
 {
   uintnat *base = Words_val(vw)->base;
-  uintnat *refp = base + Long_val(vref);
+  int park;
+  return Val_long(release_core(base + Long_val(vref), base + Long_val(vlinks),
+                               Long_val(vnl), vout, NULL, &park));
+}
+
+/* ReleaseRef R1-R3 and the own-cell park of R4's FreeNode whole, on
+ * hot block vhw and arena block vaw. vnode is the (unmarked) node;
+ * vctx is the caller's per-thread int array [| cell; nodes_base;
+ * node_stride; links_off; nl |]: the hot-block word of the caller's
+ * annAlloc cell, or -1 when the hand-off is off, then the arena's node
+ * geometry (mm_ref is word 0 of a node block, the links start at word
+ * links_off) and the link count. release_core claims the node with
+ * the +2 inflation when the cell reads empty; the park is then a
+ * CAS(0 -> node) of the cell, and when a peer's A12 donation filled
+ * the cell first, an FAA(-2) takes the inflation back. Peers can only
+ * fill the cell, never empty it, while its owner is in here, so this
+ * decides as the unfused park would. Returns -1 when the node was not
+ * claimed, else twice the number of links deposited into vout, plus 1
+ * when the node was parked. */
+CAMLprim value caml_wfrc_release_park(value vhw, value vaw, value vnode,
+                                      value vctx, value vout)
+{
+  intnat cell = Long_val(Field(vctx, 0));
+  uintnat node = (uintnat)Long_val(vnode);
+  uintnat *refp = Words_val(vaw)->base + Long_val(Field(vctx, 1))
+                  + ((node >> 1) - 1) * (uintnat)Long_val(Field(vctx, 2));
+  uintnat *cellp = cell < 0 ? NULL : Words_val(vhw)->base + cell;
   uintnat expected = 0;
-  intnat links = Long_val(vlinks), nl = Long_val(vnl);
-  intnat count = 0, i;
-  (void)__atomic_fetch_sub(refp, 2, __ATOMIC_SEQ_CST);           /* R1 */
-  if (__atomic_load_n(refp, __ATOMIC_SEQ_CST) != 0) return Val_long(-1);
-  if (!__atomic_compare_exchange_n(refp, &expected, 1, 0,        /* R2 */
-                                   __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST))
-    return Val_long(-1);
-  for (i = 0; i < nl; i++) {                                     /* R3 */
-    uintnat *lp = base + links + i;
-    uintnat v = __atomic_load_n(lp, __ATOMIC_SEQ_CST);
-    __atomic_store_n(lp, 0, __ATOMIC_SEQ_CST);
-    if (v != 0) Field(vout, count++) = Val_long((intnat)v);
-  }
-  return Val_long(count);
+  int park;
+  intnat count = release_core(refp, refp + Long_val(Field(vctx, 3)),
+                              Long_val(Field(vctx, 4)), vout, cellp, &park);
+  if (count < 0) return Val_long(-1);
+  if (!park) return Val_long(2 * count);
+  if (__atomic_compare_exchange_n(cellp, &expected, node, 0,   /* park */
+                                  __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST))
+    return Val_long(2 * count + 1);
+  (void)__atomic_fetch_sub(refp, 2, __ATOMIC_SEQ_CST);
+  return Val_long(2 * count);
 }
 
 /* AllocNode line A4 whole: collect the annAlloc word as in take and,
@@ -184,26 +247,6 @@ CAMLprim value caml_wfrc_take_fix(value vhw, value vslot, value vaw,
   if (ref < aw->len)
     (void)__atomic_fetch_sub(aw->base + ref, 1, __ATOMIC_SEQ_CST);
   return Val_long((intnat)node);
-}
-
-/* FreeNode's own-cell hand-off whole: load the freeing thread's own
- * annAlloc word and, only if it is empty, park the node there with
- * the donation-count correction — inflate the node's mm_ref (arena
- * block) by 2, CAS the node into the annAlloc word, deflate on
- * failure. Returns 1 iff parked. */
-CAMLprim value caml_wfrc_free_park(value vhw, value vslot, value vaw,
-                                   value vref, value vnode)
-{
-  uintnat *annp = Words_val(vhw)->base + Long_val(vslot);
-  uintnat *refp = Words_val(vaw)->base + Long_val(vref);
-  uintnat expected = 0;
-  if (__atomic_load_n(annp, __ATOMIC_SEQ_CST) != 0) return Val_false;
-  (void)__atomic_fetch_add(refp, 2, __ATOMIC_SEQ_CST);
-  if (__atomic_compare_exchange_n(annp, &expected, (uintnat)Long_val(vnode),
-                                  0, __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST))
-    return Val_true;
-  (void)__atomic_fetch_sub(refp, 2, __ATOMIC_SEQ_CST);
-  return Val_false;
 }
 
 /* DeRefLink lines D1-D6 whole, on announcement block vann (the

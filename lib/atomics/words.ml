@@ -47,8 +47,8 @@ external unsafe_take_fix : raw -> int -> raw -> int array -> int
   = "caml_wfrc_take_fix"
 [@@noalloc]
 
-external unsafe_free_park : raw -> int -> raw -> int -> int -> bool
-  = "caml_wfrc_free_park"
+external unsafe_release_park : raw -> raw -> int -> int array -> int array -> int
+  = "caml_wfrc_release_park"
 [@@noalloc]
 
 external unsafe_deref_link : raw -> raw -> int -> int -> int array -> int
@@ -87,7 +87,7 @@ let[@inline] swap t i v =
   unsafe_swap t.raw i v
 
 (* Fused protocol fragments: one stub call for a short fixed sequence
-   of atomic ops (see word_stubs.c). Identical per-word behaviour to
+   of atomic ops (see word_stubs.c). The words each leaves are those of
    issuing the ops through [faa]/[get]/[cas]/... individually. *)
 
 let[@inline] take t i =
@@ -113,10 +113,18 @@ let[@inline] take_fix t slot ~arena ~geom =
   check t slot;
   unsafe_take_fix t.raw slot arena.raw geom
 
-let[@inline] free_park t slot ~arena ~ref_addr ~node =
-  check t slot;
+(* [ctx] layout: [| cell; nodes_base; node_stride; links_off; nl |],
+   then any padding. The node's [mm_ref] word, its last link word and
+   the cell are checked on every call. *)
+let[@inline] release_park t ~arena ~node ~ctx ~out =
+  if Array.length ctx < 5 then invalid_arg "Words.release_park: ctx";
+  let ref_addr = ctx.(1) + (((node lsr 1) - 1) * ctx.(2)) and nl = ctx.(4) in
+  if nl < 0 || Array.length out < nl || ctx.(3) < 1 then
+    invalid_arg "Words.release_park";
   check arena ref_addr;
-  unsafe_free_park t.raw slot arena.raw ref_addr node
+  check arena (ref_addr + ctx.(3) + nl - 1);
+  if ctx.(0) >= 0 then check t ctx.(0);
+  unsafe_release_park t.raw arena.raw node ctx out
 
 (* [ctx] layout: [| node; slot; idx; busy; ra; stride; n; nodes_base;
    node_stride |], then any padding. The link word and the whole

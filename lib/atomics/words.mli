@@ -35,7 +35,9 @@ val swap : t -> int -> int -> int
     one stub crossing — per-word behaviour identical to issuing the
     ops individually, which is what the [Sim] stores do. The ops run
     back to back, without an OCaml wrapper call and a crossing per
-    op. *)
+    op. The two release stubs drop up to three operations that such
+    a back-to-back run makes redundant; the words they leave are the
+    same. *)
 
 val take : t -> int -> int
 (** [take t i]: load the word; if non-zero, atomically exchange it
@@ -49,11 +51,13 @@ val read_clear : t -> int -> int
 val release_collect : t -> ref_addr:int -> links:int -> nl:int ->
   out:int array -> int
 (** [release_collect t ~ref_addr ~links ~nl ~out]: R1–R3 whole.
-    FAA the word at [ref_addr] by [-2], then, if it then reads 0,
+    FAA the word at [ref_addr] by [-2] and, if the FAA returned 2,
     claim it with CAS(0 → 1) (the paper's R1–R2 on an [mm_ref] word);
-    if claimed, read-and-clear the [nl] contiguous link words at
-    [links], depositing the non-null values in order into [out]
-    (length ≥ [nl]) and returning how many; [-1] when not claimed. *)
+    if claimed, collect the [nl] contiguous link words at [links],
+    depositing the non-null values in order into [out] (length ≥
+    [nl]), storing 0 into those, and returning how many; [-1] when not
+    claimed. The words it leaves are those of the unfused R1–R3
+    (DESIGN.md §6.0). *)
 
 val take_fix : t -> int -> arena:t -> geom:int array -> int
 (** [take_fix t slot ~arena ~geom]: A4 whole. As {!take} on [slot];
@@ -61,13 +65,26 @@ val take_fix : t -> int -> arena:t -> geom:int array -> int
     [arena]. [geom] is [| nodes_base; node_stride |] — the arena's
     physical node geometry ([mm_ref] at word 0 of a block). *)
 
-val free_park : t -> int -> arena:t -> ref_addr:int -> node:int -> bool
-(** [free_park t slot ~arena ~ref_addr ~node]: FreeNode's own-cell
-    hand-off whole on hot block [t]. Load the freeing thread's
-    [annAlloc] word at [slot]; only if it is empty, FAA the node's
-    [mm_ref] at [ref_addr] (in [arena]) by [+2] and CAS [node] into
-    the word, undoing the FAA on failure — the donation-count
-    correction. True iff parked. *)
+val release_park :
+  t -> arena:t -> node:int -> ctx:int array -> out:int array -> int
+(** [release_park t ~arena ~node ~ctx ~out]: ReleaseRef's R1–R3 and
+    the own-cell park of R4's FreeNode whole, on hot block [t] and
+    arena block [arena]. [ctx] is the caller's
+    [| cell; nodes_base; node_stride; links_off; nl |]: the word of the
+    caller's [annAlloc] cell in [t], or [-1] when the hand-off is off,
+    then the node geometry as in {!take_fix}, the offset of link 0
+    from [mm_ref] and the link count. R1 FAAs [node]'s [mm_ref] by
+    [-2] and goes on only if the FAA returned 2. R2 claims with
+    CAS(0 → 3) when the cell reads empty (the claim and the park's +2
+    inflation in one CAS), else CAS(0 → 1). R3 deposits the non-null
+    link words in order into [out] (length ≥ [nl]) and stores 0 into
+    those alone. After a CAS(0 → 3) the cell is CASed from 0 to
+    [node], and an FAA(-2) undoes the inflation if that fails.
+    Returns [-1] when not claimed, else twice the deposit count, plus
+    1 when parked. The words it leaves are those of {!release_collect}
+    followed by FreeNode's unfused park; DESIGN.md §6.0 gives the
+    three operations it drops. [ctx] may be longer than 5 words (a
+    padded context); the stub reads only the first 5. *)
 
 val deref_link : t -> arena:t -> link:int -> enc:int -> ctx:int array -> int
 (** [deref_link t ~arena ~link ~enc ~ctx]: DeRefLink's D1–D6 whole on

@@ -38,6 +38,15 @@
      H2 read returns what it would have returned; the store would
      only invalidate the line the helpers scan.
 
+   Under [Native] one stub ([Words.release_park]) runs R1–R3 and the
+   own-cell park together, and drops three operations on the way: R1
+   tests the value its FAA returns instead of reloading [mm_ref], R2
+   claims with CAS(0 → 3) when the park will be tried (the claim and
+   the +2 inflation in one CAS), and R3 stores 0 only into non-null
+   links. Each runs this thread's own steps back to back, a legal
+   schedule of the unfused sequence, and leaves the words the [Sim]
+   arm leaves.
+
    Hot-path discipline: the operations below allocate nothing on the
    OCaml heap — the scheme's globals live on one {!Atomics.Hot}
    vector, the R3 recursion runs on a reusable per-thread int-array
@@ -74,11 +83,15 @@ type tcache = { cslots : int array; mutable clen : int }
 
 (* Cross-store fusion context ([Native] only): the raw arena and
    hot-vector blocks plus the node geometry the fused stubs need
-   ({!Atomics.Words.take_fix} / [free_park]). *)
+   ({!Atomics.Words.take_fix} / [release_park]). *)
 type fused = {
   aw : Words.t; (* the arena's raw block *)
   hw : Words.t; (* the hot vector's raw block *)
   node_geom : int array; (* [| nodes_base; node_stride |] *)
+  rctx : int array array;
+      (* per-thread R1–R4 contexts, padded: [| cell; nodes_base;
+         node_stride; links_off; nl |], [cell] the thread's [annAlloc]
+         word, or -1 under [help_alloc:false] *)
 }
 
 type t = {
@@ -128,7 +141,8 @@ type t = {
 let hw_current = 0
 let hw_help = 1
 let hw_free i = 2 + i
-let hw_ann t id = 2 + (2 * t.n) + id
+let hw_ann_of ~n id = 2 + (2 * n) + id
+let hw_ann t id = hw_ann_of ~n:t.n id
 
 let arena t = t.arena
 let counters t = t.ctr
@@ -162,7 +176,15 @@ let create ?(help_alloc = true) (cfg : Mm_intf.config) =
   in
   let fused =
     match (Arena.raw arena, Hot.raw hot) with
-    | Some aw, Some hw -> Some { aw; hw; node_geom = Arena.node_geom arena }
+    | Some aw, Some hw ->
+        let node_geom = Arena.node_geom arena in
+        let rctx tid =
+          B.padded
+            [| (if help_alloc then Hot.word_of_slot (hw_ann_of ~n tid) else -1);
+               node_geom.(0); node_geom.(1); Layout.header_size;
+               cfg.num_links |]
+        in
+        Some { aw; hw; node_geom; rctx = Array.init n rctx }
     | _ -> None
   in
   let ann = Ann.create ~backend ~threads:n () in
@@ -235,14 +257,11 @@ and release_work t ~tid sp =
   if sp > 0 then begin
     let sp = sp - 1 in
     let node = t.work.(tid).(sp) in
-    (* R1-R3: release and, when we claimed the node, collect-and-clear
-       the references its link slots held — one crossing under
-       [Native]. *)
-    let collected = Arena.release_collect t.arena node ~out:t.scratch.(tid) in
-    if collected >= 0 then begin
-      let sp = push_collected t ~tid ~k:0 ~collected sp in
+    let claimed = release_claim t ~tid node ~out:t.scratch.(tid) in
+    if claimed >= 0 then begin
+      let sp = push_collected t ~tid ~k:0 ~collected:(claimed lsr 1) sp in
       C.incr t.ctr ~tid Node_reclaimed;
-      free_node t ~tid node;                                        (* R4 *)
+      free_node t ~tid node ~parked:(claimed land 1 = 1);          (* R4 *)
       release_work t ~tid sp
     end
     else release_work t ~tid sp
@@ -253,47 +272,37 @@ and release_work t ~tid sp =
    one entry per transitively reclaimed node (Lemma 7's bounded release \
    recursion, exercised to 20k nodes in t_core)"]
 
+(* R1-R3: release and, when we claimed the node, collect-and-clear
+   the references its link slots held into [out]. Returns -1 when
+   another release claims the node, else twice the number collected,
+   plus 1 when the node is already parked in [annAlloc[tid]]. Under
+   [Native], outside recovery, one stub runs R1-R3 and FreeNode's
+   own-cell park together (DESIGN.md §6.0); otherwise the park is
+   left to [free_node]. *)
+and release_claim t ~tid node ~out =
+  match t.fused with
+  | Some f when not t.recovering ->
+      Words.release_park f.hw ~arena:f.aw ~node ~ctx:f.rctx.(tid) ~out
+  | _ ->
+      let collected = Arena.release_collect t.arena node ~out in
+      if collected < 0 then -1 else collected lsl 1
+
 and push_collected t ~tid ~k ~collected sp =
   if k >= collected then sp
   else
     push_collected t ~tid ~k:(k + 1) ~collected
       (work_push t ~tid sp (Value.unmark t.scratch.(tid).(k)))
 
-and free_node t ~tid node =
+and free_node t ~tid node ~parked =
   (* Pre-condition: mm_ref = 1 (claimed), as established by R2 or by
-     the initial chaining. From here the node is allocator custody —
-     the own-cell hand-off, cache parking and the F4–F10 pushes only
-     ever touch its mm_ref/mm_next words — so this is the lifecycle
-     [Free] point for the reclamation oracle. *)
+     the initial chaining, or the node already [parked] by
+     [release_claim] with mm_ref = 3. From here the node is allocator
+     custody — the own-cell hand-off, cache parking and the F4–F10
+     pushes only ever touch its mm_ref/mm_next words — so this is the
+     lifecycle [Free] point for the reclamation oracle. *)
   Mm_intf.Events.emit ~tid node Mm_intf.Events.Free;
   C.incr t.ctr ~tid Free;
-  (* The own-cell hand-off (replacing F1–F3): park the node in
-     [annAlloc[tid]] if it is empty, with the donation-count
-     correction (see module comment); this thread's next A4 takes it
-     back. *)
-  let parked =
-    t.help_alloc
-    && (not t.recovering)
-    &&
-    match t.fused with
-    | Some f ->
-        Words.free_park f.hw
-          (Hot.word_of_slot (hw_ann t tid))
-          ~arena:f.aw
-          ~ref_addr:(Arena.mm_ref_addr t.arena node)
-          ~node
-    | None ->
-        Hot.read t.hot (hw_ann t tid) = Value.null
-        && begin
-             Arena.faa_mm_ref t.arena node 2;
-             Hot.cas t.hot (hw_ann t tid) ~old:Value.null ~nw:node
-             || begin
-                  Arena.faa_mm_ref t.arena node (-2);
-                  false
-                end
-           end
-  in
-  if parked then C.incr t.ctr ~tid Free_gave_help
+  if parked || park_own t ~tid node then C.incr t.ctr ~tid Free_gave_help
   else
     match t.caches with
     | Some caches ->
@@ -314,6 +323,25 @@ and free_node t ~tid node =
           done
         end
     | None -> free_push t ~tid node
+
+(* The own-cell hand-off (replacing F1–F3), [Sim] arm: park the node
+   in [annAlloc[tid]] if it is empty, with the donation-count
+   correction (see module comment); this thread's next A4 takes it
+   back. Under [Native] the release stub has already tried it, and
+   recovery suppresses it in both arms. *)
+and park_own t ~tid node =
+  t.help_alloc
+  && (not t.recovering)
+  && Option.is_none t.fused
+  && Hot.read t.hot (hw_ann t tid) = Value.null
+  && begin
+       Arena.faa_mm_ref t.arena node 2;
+       Hot.cas t.hot (hw_ann t tid) ~old:Value.null ~nw:node
+       || begin
+            Arena.faa_mm_ref t.arena node (-2);
+            false
+          end
+     end
 
 (* F4–F10: push a claimed node onto one of the 2N free-lists. *)
 and free_push t ~tid node =
@@ -338,6 +366,15 @@ and free_push t ~tid node =
      candidate lists at most a bounded number of times (Lemma 10)"]
   in
   push index
+
+(* R1–R3 and FreeNode's own-cell park on one node, as [release_work]
+   and [free_node] run them, without the cascade, the events, the
+   counters and the cache or free-list push. *)
+let release_park t ~tid node ~out =
+  let claimed = release_claim t ~tid node ~out in
+  if claimed >= 0 && claimed land 1 = 0 && park_own t ~tid node then
+    claimed lor 1
+  else claimed
 
 (* Bounded-wait OOM degradation (sharded config only): before giving
    up, drain any declared-dead peers' domain-local caches back onto
@@ -642,6 +679,9 @@ let scratch_blocks t =
            B.owned ~owner:tid "scratch" ~used:(max 1 t.cfg.num_links)
              t.scratch.(tid);
          ]
+         @ (match t.fused with
+           | Some f -> [ B.owned ~owner:tid "rctx" ~used:5 f.rctx.(tid) ]
+           | None -> [])
          @
          match t.caches with
          | Some caches ->
@@ -668,7 +708,7 @@ let revive t ~tid node =
   done;
   Arena.write t.arena (Arena.mm_ref_addr t.arena node) 1;
   C.incr t.ctr ~tid Node_reclaimed;
-  free_node t ~tid node
+  free_node t ~tid node ~parked:false
 
 let recover t ~tid =
   if not (Mm_intf.Dead.any t.dead) then Mm_intf.no_recovery

@@ -41,6 +41,17 @@ val release : t -> tid:int -> Shmem.Value.ptr -> unit
 (** [ReleaseRef] (R1–R4); cascade reclamation runs with constant
     stack. The pointer may be marked; must not be null. *)
 
+val release_park : t -> tid:int -> Shmem.Value.ptr -> out:int array -> int
+(** ReleaseRef's R1–R3 and FreeNode's own-cell park on one unmarked
+    node, as {!release} runs them, without the cascade, the counters
+    and the cache or free-list push. The non-null link words R3
+    collects are deposited in order into [out] (length ≥ the layout's
+    [num_links]). Returns [-1] when not claimed, else twice the
+    deposit count, plus 1 when the node was parked in
+    [annAlloc\[tid\]]. Exposed so the [Native] stub, which runs it in
+    one call, can be tested against the [Sim] sequence word for
+    word. *)
+
 val help_deref : t -> tid:int -> Shmem.Value.addr -> unit
 (** [HelpDeRef] (H1–H8). Per §3.2, must be called after every
     successful CAS on a shared link, before releasing the old
@@ -58,8 +69,8 @@ val custody : t -> Mm_intf.custody
     unretracted announcement answers as [pinned] by the announcer. *)
 
 val scratch_blocks : t -> Atomics.Backend.owned list
-(** Each thread's hot-path scratch (D1–D6 context, R3 collect buffer
-    and, when sharded, the allocation cache record and its slots),
+(** Each thread's hot-path scratch (D1–D6 context, R3 collect buffer,
+    under [Native] the R1–R4 context and, when sharded, the allocation cache record and its slots),
     with its used length, for layout checks: each block is
     {!Atomics.Backend.padded}. *)
 

@@ -248,7 +248,7 @@ let release_collect t p ~out =
 
 (* The raw word block ([Native] only) and the physical node
    geometry, for fusions that span the arena and a manager's hot
-   vector (see {!Atomics.Words.take_fix}/[free_park]). Addressing
+   vector (see {!Atomics.Words.take_fix}/[release_park]). Addressing
    uses the same physical [Value.addr] values as [read]/[write]
    above. *)
 let raw t = match t.store with Raw w -> Some w | Cells _ -> None

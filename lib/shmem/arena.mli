@@ -99,12 +99,15 @@ val release_collect : t -> Value.ptr -> out:int array -> int
     claim it with CAS(0 → 1), and if this caller claimed it,
     read-and-clear every link word, depositing the non-null values in
     slot order into [out] (length ≥ the layout's [num_links]).
-    Returns the deposit count, or [-1] when not claimed. *)
+    Returns the deposit count, or [-1] when not claimed. The [Native]
+    stub tests the FAA's return instead of reloading and skips the
+    store into null links ({!Atomics.Words.release_collect}); the
+    words left are the same. *)
 
 val raw : t -> Atomics.Words.t option
 (** The backing {!Atomics.Words} block ([Native] only) — for fusions
     spanning the arena and a hot vector (see
-    {!Atomics.Words.take_fix} and {!Atomics.Words.free_park}).
+    {!Atomics.Words.take_fix} and {!Atomics.Words.release_park}).
     Address it with the {e physical} addresses from the addressing
     section above. *)
 

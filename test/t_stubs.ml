@@ -189,21 +189,20 @@ let scan_prop =
       @ diff_words ws wn)
 
 (* ---- AllocNode A4, FreeNode's hand-off and ReleaseRef's cascade:
-   [Words.take_fix], [Words.free_park] and [Words.release_collect]
-   through [Wfrc] scripts ------------------------------------------ *)
+   [Words.take_fix] and [Words.release_park] through [Wfrc] scripts - *)
 
 (* A client script step: (op, tid, a, b). Op 0 allocates, op 1
    releases held reference [a], op 2 stores held reference [b] (or
    null) into link [a] — a root or any link of a held node. Every
    release that reclaims a node parks it in the freeing thread's own
-   [annAlloc] cell when that is empty ([free_park]), and A10 successes
-   donate to a peer's empty cell; the next alloc of the cell's owner
-   takes it back ([take_fix]). A release that drops the last reference
-   to a node whose links hold the last references to others reclaims
-   the whole tree in one call, through [release_collect] and the R3
-   work stack. Indices are taken modulo what is held, so every script
-   is a legal sequential client. The case is (threads - 1, links per
-   node - 1, steps). *)
+   [annAlloc] cell when that is empty ([release_park]), and A10
+   successes donate to a peer's empty cell; the next alloc of the
+   cell's owner takes it back ([take_fix]). A release that drops the
+   last reference to a node whose links hold the last references to
+   others reclaims the whole tree in one call, through [release_park]
+   and the R3 work stack. Indices are taken modulo what is held, so
+   every script is a legal sequential client. The case is (threads - 1,
+   links per node - 1, steps). *)
 let script_case =
   QCheck.(
     triple (int_range 0 2) (int_range 0 2)
@@ -309,7 +308,7 @@ let script_run backend (n, nl, steps) =
 
 let alloc_free_prop =
   prop
-    "take_fix and free_park = their Sim arms over alloc/release/store_link \
+    "take_fix and release_park = their Sim arms over alloc/release/store_link \
      scripts, release cascades included"
     script_case (fun case ->
       let rec first i = function
@@ -478,6 +477,64 @@ let collect_prop =
        else [ Printf.sprintf "count: sim %d, native %d" cs cn ])
       @ diff_words ws wn @ padding)
 
+(* ---- ReleaseRef R1–R3 and FreeNode's own-cell park:
+   [Words.release_park] through [Gc.release_park] against the Sim
+   sequence ([Arena.release_collect]'s Cells arm, then the park) --- *)
+
+(* (tid, links per node - 1, the released node's count — 2, 4 or 1,
+   the last an allocator-claimed node — and whether a stale D5 +2 sits
+   on it, whether the thread's [annAlloc] cell is filled first, whether
+   the hand-off is on — off, the stub's cell is -1 — and the node's link
+   words, coded as in [collect_case]). *)
+let park_case =
+  QCheck.(
+    tup6 (int_range 0 1) (int_range 0 2)
+      (pair (int_range 0 2) bool)
+      bool bool
+      (list_of_size (Gen.return 3) (int_range (-cap) cap)))
+
+let park_run backend (tid, nl, (count, stale), filled, help, links) =
+  let nl = nl + 1 in
+  let t =
+    Gc.create ~help_alloc:help
+      (Mm_intf.config ~backend ~threads:2 ~capacity:cap ~num_links:nl
+         ~num_data:1 ~num_roots ())
+  in
+  let arena = Gc.arena t in
+  for h = 1 to cap do
+    Arena.write_data arena (Value.of_handle h) 0 (100 + h)
+  done;
+  (* A release of a node the thread just allocated fills its cell
+     (when the hand-off is on). *)
+  if filled then Gc.release t ~tid (Gc.alloc t ~tid);
+  let p = Gc.alloc t ~tid in
+  Arena.write arena (Arena.mm_ref_addr arena p)
+    ([| 2; 4; 1 |].(count) + if stale then 2 else 0);
+  List.iteri
+    (fun i v -> if i < nl then Arena.write_link arena p i (link_word v))
+    links;
+  let out = Array.make (nl + B.cache_line_words) untouched in
+  let r = Gc.release_park t ~tid p ~out in
+  let cells =
+    List.map
+      (fun (id, h) -> (Printf.sprintf "annAlloc[%d]" id, h))
+      (List.sort compare (Gc.custody t).Mm_intf.pending)
+  in
+  let deposits =
+    List.mapi (fun i v -> (Printf.sprintf "out[%d]" i, v)) (Array.to_list out)
+  in
+  (r, gc_words t @ deposits, cells)
+
+let park_prop =
+  prop "release_park = the Sim R1-R3 and own-cell park, word for word"
+    park_case (fun case ->
+      let rs, ws, cs = park_run B.Sim case in
+      let rn, wn, cn = park_run B.Native case in
+      (if rs = rn then []
+       else [ Printf.sprintf "returned: sim %d, native %d" rs rn ])
+      @ diff_words ws wn
+      @ if cs = cn then [] else [ "annAlloc cells differ" ])
+
 (* ---- R3's per-link collect: [Words.read_clear] through
    [Arena.read_clear_link] against the Cells arm -------------------- *)
 
@@ -592,6 +649,7 @@ let suite =
     ("a release cascade deeper than the R3 work stack's 64 entries, sim = native",
      `Quick, test_deep_cascade);
     collect_prop;
+    park_prop;
     clear_prop;
     take_prop;
   ]

@@ -155,8 +155,65 @@ let hot_link_test ~threads ~rounds () =
   end;
   assert_all_free mm
 
+(* Two domains drop the last two references to the same nodes at
+   once, over many rounds, on the Native word store. Tid 0 allocates a
+   batch and [copy_ref]s every node, so each domain holds one
+   reference; then both release their batch concurrently. R1's FAA(-2)
+   hands the transition to 0 to exactly one of them, whose R2 claims
+   the node, so each node must be reclaimed exactly once per round,
+   and nothing may leak or be freed twice. *)
+let claim_race_test ~rounds ~batch () =
+  let cfg =
+    Mm.config ~backend:Atomics.Backend.Native ~threads:2 ~capacity:(2 * batch)
+      ~num_links:1 ~num_data:1 ~num_roots:0 ()
+  in
+  let mm = mm_of "wfrc" cfg in
+  let nodes = Array.make batch Value.null in
+  (* [ready] counts the batches published, [done_] the releases
+     finished, two per round; [failed] stops the peer's wait when a
+     domain raised. *)
+  let ready = Atomic.make 0 and done_ = Atomic.make 0 in
+  let failed = Atomic.make false in
+  let rec wait a v =
+    if Atomic.get a < v then begin
+      if Atomic.get failed then failwith "the other domain raised";
+      Domain.cpu_relax ();
+      wait a v
+    end
+  in
+  ignore
+    (Harness.Runner.run ~threads:2 (fun ~tid ->
+         try
+           for r = 1 to rounds do
+             if tid = 0 then begin
+               wait done_ (2 * (r - 1));
+               for i = 0 to batch - 1 do
+                 nodes.(i) <- Mm.copy_ref mm ~tid (Mm.alloc mm ~tid)
+               done;
+               Atomic.set ready r
+             end
+             else wait ready r;
+             (* the two domains walk the batch from opposite ends *)
+             for i = 0 to batch - 1 do
+               let i = if tid = 0 then i else batch - 1 - i in
+               Mm.release mm ~tid nodes.(i)
+             done;
+             Atomic.incr done_
+           done
+         with e ->
+           Atomic.set failed true;
+           raise e));
+  check_int "every node reclaimed exactly once per round" (rounds * batch)
+    (Atomics.Counters.total (Mm.counters mm) Node_reclaimed);
+  assert_all_free mm;
+  let audit = Harness.Audit.run mm in
+  if not (Harness.Audit.ok audit) then
+    Alcotest.failf "audit: %s" (Harness.Audit.to_string audit)
+
 let suite =
   [
+    tc "native claim race: two domains drop the last references at once"
+      (claim_race_test ~rounds:2_000 ~batch:16);
     tc "churn x2 threads" (churn_test ~threads:2 ~rounds:5_000 ~capacity:64);
     tc "churn x4 threads" (churn_test ~threads:4 ~rounds:3_000 ~capacity:64);
     tc_slow "churn x8 threads, tight memory"
